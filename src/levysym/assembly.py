@@ -11,11 +11,20 @@ by midpoint subdivision with Richardson extrapolation until the relative
 change drops below 1e-6.  The self pair never enters because a piecewise
 constant has no variation inside a cell.
 
+On the uniform grid the envelope part of a far weight, J(h |i - j|),
+depends on the index offset i - j only.  The far field therefore
+evaluates the profile once on the (2n - 1)^N integer offsets of the box
+(zero at Chebyshev distance <= 2) and fills the weights by row-blocked
+gathers from that table; a modulation a(x_i, x_j) multiplies the gathered
+values on the same pairs.  No thread pool is involved.
+
 Killing collects everything the masked cell sees outside the domain: the
 same pairwise weights toward unmasked in-box cells, plus the analytic
 radial tail beyond the box.  The tail knows only the envelope J, so with
 modulation Lambda > 1 it is an interval [1, Lambda] * tail; the midpoint
-enters kappa and the width lands in the diagnostics.
+enters kappa and the width lands in the diagnostics.  In 2-D the tail
+density is evaluated once per orbit of the square's eight symmetries,
+under which both the box and the midpoint angle rule are invariant.
 """
 
 from __future__ import annotations
@@ -24,7 +33,6 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -59,6 +67,10 @@ NEAR_CAP_2D = 256
 TAIL_ANGLES = 2048
 # bound on rows x subcells per modulation evaluation block
 NEAR_BLOCK = 4_000_000
+# bound on the entries of one row block of far-field gathers or tail rays
+ROW_BLOCK = 1 << 20
+# bound on pairs per block when walking the packed upper triangle
+TRIU_BLOCK = 1 << 18
 
 
 class AssemblyError(RuntimeError):
@@ -115,8 +127,9 @@ class DiscreteOperator:
     """Symmetric nonlocal stiffness operator over the masked cells.
 
     weights holds the strict upper triangle of the pairwise matrix in
-    row-major pair order (np.triu_indices).  kappa and cdiag are the
-    killing and lower-order diagonals, already volume-weighted.
+    row-major pair order (np.triu_indices order, see triu_blocks).  kappa
+    and cdiag are the killing and lower-order diagonals, already
+    volume-weighted.
     """
 
     grid: object
@@ -145,14 +158,14 @@ class DiscreteOperator:
     def weight_matrix(self) -> np.ndarray:
         m = self.size
         W = np.zeros((m, m))
-        iu, ju = np.triu_indices(m, k=1)
-        W[iu, ju] = self.weights
-        W[ju, iu] = self.weights
+        for start, stop, rows, cols in triu_blocks(m):
+            W[rows, cols] = self.weights[start:stop]
+            W[cols, rows] = self.weights[start:stop]
         return W
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        A = -self.weight_matrix.copy()
+        A = np.negative(self.weight_matrix)
         d = self.weight_matrix.sum(axis=1) + self.kappa + self.cdiag
         np.fill_diagonal(A, d)
         return A
@@ -167,6 +180,35 @@ class DiscreteOperator:
                                 weights=self.weights, kappa=self.kappa,
                                 cdiag=cdiag, tail_interval=self.tail_interval,
                                 diagnostics=self.diagnostics)
+
+
+def triu_blocks(m: int, limit: int = TRIU_BLOCK):
+    """Walk the strict upper triangle of an m x m matrix in row blocks.
+
+    Yields (start, stop, rows, cols): the slice of the packed pair vector
+    (np.triu_indices order) and the row and column index of each pair in
+    it.  A block holds at most `limit` pairs unless a single row is longer.
+    """
+    counts = np.arange(m - 1, -1, -1, dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    lo = 0
+    while lo < m - 1:
+        hi = int(np.searchsorted(starts, starts[lo] + limit, side="right")) - 1
+        hi = max(hi, lo + 1)
+        rows = np.repeat(np.arange(lo, hi), counts[lo:hi])
+        cols = (np.arange(starts[lo], starts[hi])
+                - np.repeat(starts[lo:hi], counts[lo:hi]) + rows + 1)
+        yield int(starts[lo]), int(starts[hi]), rows, cols
+        lo = hi
+
+
+def pack_upper(W: np.ndarray) -> np.ndarray:
+    """Strict upper triangle of the square matrix W in packed pair order."""
+    m = W.shape[0]
+    out = np.empty(m * (m - 1) // 2)
+    for start, stop, rows, cols in triu_blocks(m):
+        out[start:stop] = W[rows, cols]
+    return out
 
 
 def masked_vector(grid: Grid, f) -> np.ndarray:
@@ -189,9 +231,11 @@ def energy(op: DiscreteOperator, u) -> float:
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (op.size,):
         raise ValueError("vector length does not match the operator")
-    iu, ju = np.triu_indices(op.size, k=1)
-    d = u[iu] - u[ju]
-    return float(self_energy_terms(op, u) + np.dot(op.weights, d * d))
+    pairs = 0.0
+    for start, stop, rows, cols in triu_blocks(op.size):
+        d = u[rows] - u[cols]
+        pairs += float(np.dot(op.weights[start:stop], d * d))
+    return float(self_energy_terms(op, u) + pairs)
 
 
 def self_energy_terms(op: DiscreteOperator, u: np.ndarray) -> float:
@@ -301,21 +345,91 @@ def box_tail_density(kernel: Kernel, grid: Grid) -> np.ndarray:
     """Envelope interaction density with the exterior of the box, per
     masked cell: integral of J(|x_i - y|) dy over R^N minus the box."""
     prim = tail_primitive(kernel.profile, grid.dimension)
-    X = grid.centers[grid.masked_indices]
     L = grid.half_width
     if grid.dimension == 1:
-        x = X[:, 0]
+        x = grid.centers[grid.masked_indices, 0]
         return np.asarray(prim(L + x) + prim(L - x), dtype=np.float64)
     if grid.dimension == 2:
+        # fold each cell onto its orbit representative under the square's
+        # symmetries; the representative's flat index is a * n + b
+        n = grid.n
+        idx = grid.index_array[grid.masked_indices]
+        folded = np.sort(np.minimum(idx, n - 1 - idx), axis=1)
+        reps, inverse = np.unique(folded[:, 0] * n + folded[:, 1],
+                                  return_inverse=True)
+        X = grid.centers[reps]
         # polar decomposition: for each direction the ray exits the box at
         # distance min over axes of (signed face gap / direction cosine)
         theta = (np.arange(TAIL_ANGLES) + 0.5) * (2.0 * math.pi / TAIL_ANGLES)
         d = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        gaps = np.where(d[None, :, :] > 0, L - X[:, None, :], -L - X[:, None, :])
-        exit_dist = np.min(gaps / d[None, :, :], axis=2)
-        vals = prim(exit_dist)
-        return np.asarray(vals.mean(axis=1) * 2.0 * math.pi, dtype=np.float64)
+        dens = np.empty(reps.size)
+        step = max(1, ROW_BLOCK // TAIL_ANGLES)
+        for lo in range(0, reps.size, step):
+            x = X[lo:lo + step, None, :]
+            gaps = np.where(d[None, :, :] > 0, L - x, -L - x)
+            exit_dist = np.min(gaps / d[None, :, :], axis=2)
+            dens[lo:lo + step] = prim(exit_dist).mean(axis=1) * 2.0 * math.pi
+        return dens[inverse.ravel()]
     raise ValueError("full-grid assembly supports dimensions 1 and 2")
+
+
+def far_offset_table(kernel: Kernel, grid: Grid) -> tuple:
+    """Envelope profile at every integer index offset of the box, flattened
+    over the (2n - 1)^N offsets in C order, and the mask of far offsets.
+    The profile entry is zero at Chebyshev distance <= 2, where the near
+    field and the self pair take over."""
+    n, dim = grid.n, grid.dimension
+    axis = np.arange(1 - n, n, dtype=np.int64)
+    offsets = np.stack([g.ravel() for g in np.meshgrid(*([axis] * dim), indexing="ij")],
+                       axis=1)
+    far = np.max(np.abs(offsets), axis=1) > 2
+    diff = grid.h * offsets[far]
+    table = np.zeros(offsets.shape[0])
+    table[far] = kernel.profile.evaluate(np.sqrt(np.sum(diff * diff, axis=1)))
+    return table, far
+
+
+def far_field(kernel: Kernel, grid: Grid) -> tuple:
+    """Midpoint rule against every box cell at Chebyshev index distance > 2:
+    (W, kappa) with the masked targets in the masked-cell matrix W and the
+    unmasked ones summed per row into kappa.
+
+    The weight of cells i, j is table[zero + p_i - p_j], with p the flat
+    position of a cell's index in the offset table and zero that of the
+    zero offset, times a(x_i, x_j) on modulated kernels and the squared
+    volume.
+    """
+    n, dim = grid.n, grid.dimension
+    table, far = far_offset_table(kernel, grid)
+    scale = grid.cell_volume ** 2
+    modulated = kernel.modulation is not None
+    if not modulated:
+        table *= scale
+    strides = (2 * n - 1) ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    pos = grid.index_array @ strides
+    zero = (n - 1) * int(strides.sum())
+    points = grid.centers[:, 0] if dim == 1 else grid.centers
+    midx = grid.masked_indices
+    outside = np.flatnonzero(~grid.mask_flat)
+
+    def block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        at = (zero + pos[rows])[:, None] - pos[cols][None, :]
+        k = table[at]
+        if modulated:
+            ri, ci = np.nonzero(far[at])
+            k[ri, ci] *= modulation_factor(kernel, points[rows[ri]], points[cols[ci]])
+            k *= scale
+        return k
+
+    W = np.zeros((midx.size, midx.size))
+    kappa = np.zeros(midx.size)
+    step = max(1, ROW_BLOCK // grid.cell_count)
+    for lo in range(0, midx.size, step):
+        rows = midx[lo:lo + step]
+        W[lo:lo + step] = block(rows, midx)
+        if outside.size:
+            kappa[lo:lo + step] = block(rows, outside).sum(axis=1)
+    return W, kappa
 
 
 def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> DiscreteOperator:
@@ -330,6 +444,7 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> Discr
         cvals = np.zeros(grid.masked_count)
 
     t0 = time.perf_counter()
+    workers = thread_count()
     dim = grid.dimension
     h = grid.h
     vol = grid.cell_volume
@@ -342,44 +457,8 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> Discr
     local = np.full(grid.cell_count, -1, dtype=np.int64)
     local[midx] = np.arange(m)
 
-    W = np.zeros((m, m))
-    kappa = np.zeros(m)
-
-    # far field: midpoint rule against every box cell at Chebyshev index
-    # distance > 2, masked targets into W, unmasked ones into kappa
-    def far_rows(lo: int, hi: int) -> None:
-        rows = midx[lo:hi]
-        ivec = index[rows]
-        cheb = np.max(np.abs(ivec[:, None, :] - index[None, :, :]), axis=2)
-        far = cheb > 2
-        ri, ci = np.nonzero(far)
-        if ri.size == 0:
-            return
-        xi = centers[rows[ri]]
-        yj = centers[ci]
-        diff = xi - yj
-        r = np.sqrt(np.sum(diff * diff, axis=1))
-        k = kernel.profile.evaluate(r)
-        if kernel.modulation is not None:
-            if dim == 1:
-                k = k * modulation_factor(kernel, xi[:, 0], yj[:, 0])
-            else:
-                k = k * modulation_factor(kernel, xi, yj)
-        k *= vol * vol
-        block = np.zeros((hi - lo, grid.cell_count))
-        block[ri, ci] = k
-        W[lo:hi, :] += block[:, midx]
-        kappa[lo:hi] += block[:, ~maskf].sum(axis=1)
-
-    workers = thread_count()
-    chunk = max(1, min(256, -(-m // max(workers, 1))))
-    spans = [(lo, min(lo + chunk, m)) for lo in range(0, m, chunk)]
-    if workers == 1 or len(spans) == 1:
-        for lo, hi in spans:
-            far_rows(lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda s: far_rows(*s), spans))
+    W, kappa = far_field(kernel, grid)
+    t_far = time.perf_counter()
 
     # near field: refined symmetric quadrature per index offset; masked
     # pairs are handled once from the lex-positive side, masked-to-unmasked
@@ -411,9 +490,11 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> Discr
         W[sel, cols] = wvals[tmasked]
         W[cols, sel] = wvals[tmasked]
         kappa[rows_local[~tmasked]] += wvals[~tmasked]
+    t_near = time.perf_counter()
 
     # analytic tail beyond the box, bracketed by the modulation band
     tail = vol * box_tail_density(kernel, grid)
+    t_tail = time.perf_counter()
     tail_lo = tail
     tail_hi = kernel.Lambda * tail
     tail_mid = 0.5 * (tail_lo + tail_hi)
@@ -429,8 +510,8 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> Discr
             "median killing term; enlarge the bounding box to reduce "
             "truncation bias", stacklevel=2)
 
-    iu, ju = np.triu_indices(m, k=1)
-    weights = W[iu, ju]
+    weights = pack_upper(W)
+    del W
     diag = {
         "mode": "grid",
         "dimension": dim,
@@ -444,6 +525,9 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> Discr
         "tail_to_kappa_median_ratio": med_tail / med_kappa if med_kappa > 0 else math.inf,
         "kappa_inbox_median": kappa_inbox_median,
         "box_margin_ok": bool(margin_ok),
+        "far_seconds": t_far - t0,
+        "near_seconds": t_near - t_far,
+        "tail_seconds": t_tail - t_near,
         "assembly_seconds": time.perf_counter() - t0,
     }
     return DiscreteOperator(grid=grid, volumes=np.full(m, vol), weights=weights,
@@ -515,7 +599,6 @@ def assemble_radial(profile: RadialProfile, R: float, shells: int,
     kappa = np.array([vols[k] * exterior_ball_mass(profile, dim, mid[k], R)
                       for k in range(shells)])
 
-    iu, ju = np.triu_indices(shells, k=1)
     diag = {
         "mode": "radial",
         "dimension": dim,
@@ -523,7 +606,7 @@ def assemble_radial(profile: RadialProfile, R: float, shells: int,
         "radius": R,
         "assembly_seconds": time.perf_counter() - t0,
     }
-    return DiscreteOperator(grid=rgrid, volumes=vols, weights=W[iu, ju],
+    return DiscreteOperator(grid=rgrid, volumes=vols, weights=pack_upper(W),
                             kappa=kappa, cdiag=c * vols,
                             tail_interval=np.stack([kappa, kappa], axis=1),
                             diagnostics=diag)
@@ -536,8 +619,8 @@ def write_operator_csv(op: DiscreteOperator, path) -> None:
         ids = op.grid.masked_indices
     else:
         ids = np.arange(op.size)
-    iu, ju = np.triu_indices(op.size, k=1)
     with open(path, "w", newline="") as fh:
         fh.write("i,j,w\n")
-        for a, b, w in zip(ids[iu], ids[ju], op.weights):
-            fh.write(f"{a},{b},{w:.17g}\n")
+        for start, stop, rows, cols in triu_blocks(op.size):
+            for a, b, w in zip(ids[rows], ids[cols], op.weights[start:stop]):
+                fh.write(f"{a},{b},{w:.17g}\n")

@@ -46,10 +46,15 @@ def pcg(A: np.ndarray, b: np.ndarray, tol: float, max_iter: int):
 
     Returns (x, iterations, relative_residual, history).  Raises
     SolverError with the residual history when max_iter is exhausted.
+    The load is scaled by a power of two to max |b| in [1/2, 1) first, so
+    tiny loads neither underflow nor change the iterates' rounding.
     """
-    norm_b = float(np.linalg.norm(b))
-    if norm_b == 0.0:
+    big = float(np.max(np.abs(b))) if b.size else 0.0
+    if big == 0.0:
         return np.zeros_like(b), 0, 0.0, ()
+    _, shift = np.frexp(big)
+    b = np.ldexp(b, -shift)
+    norm_b = float(np.linalg.norm(b))
     d = np.diag(A).copy()
     if np.any(d <= 0):
         raise SolverError("system diagonal is not positive")
@@ -70,7 +75,7 @@ def pcg(A: np.ndarray, b: np.ndarray, tol: float, max_iter: int):
         rel = float(np.linalg.norm(r)) / norm_b
         history.append(rel)
         if rel <= tol:
-            return x, it, rel, tuple(history)
+            return np.ldexp(x, shift), it, rel, tuple(history)
         z = r / d
         rz_next = float(r @ z)
         p = z + (rz_next / rz) * p

@@ -17,6 +17,7 @@ from levysym.assembly import (
 from levysym.kernels import (
     Kernel,
     RadialProfile,
+    eval_kernel,
     make_modulation,
     surface_area,
     tail_primitive,
@@ -132,6 +133,98 @@ class TestPairWeights:
         g = Grid.full_box(1, 1.0, 16)
         with pytest.raises(AssemblyError):
             assemble(frac_kernel(0.75), g, None)
+
+
+def modulated_kernel(tag, dim, s=0.4, lam=2.0):
+    return Kernel(profile=RadialProfile.power(s, dimension=dim), Lambda=lam,
+                  modulation=make_modulation(tag, lam, dim=dim), modulation_tag=tag)
+
+
+def two_piece_grid(dim):
+    """Asymmetric masked grid: two intervals at n = 48, an L shape at n = 16."""
+    if dim == 1:
+        x = Grid.full_box(1, 1.0, 48).centers[:, 0]
+        return Grid(1, 1.0, 48, (x < -0.3) | (x > 0.1))
+    c = Grid.full_box(2, 1.0, 16).centers
+    mask = (c[:, 0] < -0.2) | ((c[:, 1] > 0.3) & (c[:, 0] < 0.6))
+    return Grid(2, 1.0, 16, mask.reshape(16, 16))
+
+
+def direct_far_field(kernel, grid):
+    """Reference far field: the midpoint rule evaluated pair by pair against
+    every box cell at Chebyshev index distance > 2."""
+    idx, X, midx = grid.index_array, grid.centers, grid.masked_indices
+    W = np.zeros((midx.size, midx.size))
+    kappa = np.zeros(midx.size)
+    for r, i in enumerate(midx):
+        cols = np.flatnonzero(np.max(np.abs(idx - idx[i]), axis=1) > 2)
+        if grid.dimension == 1:
+            k = eval_kernel(kernel, np.full(cols.size, X[i, 0]), X[cols, 0])
+        else:
+            k = eval_kernel(kernel, np.broadcast_to(X[i], (cols.size, 2)), X[cols])
+        row = np.zeros(grid.cell_count)
+        row[cols] = k * grid.cell_volume ** 2
+        W[r] = row[midx]
+        kappa[r] = row[~grid.mask_flat].sum()
+    return W, kappa
+
+
+class TestOffsetTable:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("tag", ["none", "rough_cosine", "separable_cosine"])
+    def test_far_field_matches_direct_pairs(self, dim, tag, monkeypatch):
+        g = two_piece_grid(dim)
+        k = modulated_kernel(tag, dim) if tag != "none" else frac_kernel(0.4, dim=dim)
+        # small row blocks so the gathers cross several block boundaries
+        monkeypatch.setattr(assembly, "ROW_BLOCK", 1000)
+        W, kappa = assembly.far_field(k, g)
+        monkeypatch.undo()
+        W_ref, kappa_ref = direct_far_field(k, g)
+        np.testing.assert_allclose(W, W_ref, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(kappa, kappa_ref, rtol=1e-13, atol=0.0)
+        # the assembled operator carries exactly these far weights
+        op = assemble(k, g, None)
+        far = W_ref > 0
+        assert np.array_equal(op.weight_matrix[far], W[far])
+
+    @pytest.mark.parametrize("prof", [RadialProfile.power(0.3, dimension=2),
+                                      RadialProfile.exponential(1.5, dimension=2)])
+    def test_folded_tail_matches_unfolded(self, prof, monkeypatch):
+        g = two_piece_grid(2)
+        monkeypatch.setattr(assembly, "ROW_BLOCK", 3 * 2048)
+        got = assembly.box_tail_density(Kernel(profile=prof), g)
+        # every masked cell on its own, no symmetry fold
+        prim = tail_primitive(prof, 2)
+        X = g.centers[g.masked_indices]
+        L = g.half_width
+        theta = (np.arange(2048) + 0.5) * (2.0 * math.pi / 2048)
+        d = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        gaps = np.where(d[None, :, :] > 0, L - X[:, None, :], -L - X[:, None, :])
+        want = prim(np.min(gaps / d[None, :, :], axis=2)).mean(axis=1) * 2.0 * math.pi
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 7, 40])
+    @pytest.mark.parametrize("limit", [1, 5, 1000])
+    def test_triu_blocks_cover_triu_indices(self, m, limit):
+        iu, ju = np.triu_indices(m, k=1)
+        rows, cols, stop = [], [], 0
+        for start, end, r, c in assembly.triu_blocks(m, limit):
+            assert start == stop and end - start == r.size == c.size
+            assert r.size <= max(limit, m - 1 - r[0])
+            rows.append(r)
+            cols.append(c)
+            stop = end
+        assert stop == iu.size
+        if rows:
+            assert np.array_equal(np.concatenate(rows), iu)
+            assert np.array_equal(np.concatenate(cols), ju)
+
+    def test_phase_seconds_in_diagnostics(self):
+        op = assemble(frac_kernel(0.4, dim=2), two_piece_grid(2), None)
+        d = op.diagnostics
+        phases = [d[key] for key in ("far_seconds", "near_seconds", "tail_seconds")]
+        assert all(t >= 0 for t in phases)
+        assert sum(phases) <= d["assembly_seconds"]
 
 
 class TestRowSums:

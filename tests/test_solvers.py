@@ -388,6 +388,17 @@ def test_linearity_of_solve(alpha, beta):
     assert np.max(np.abs(combined - alpha * u1 - beta * u2)) <= 1e-9 * scale
 
 
+@pytest.mark.parametrize("alpha", [3.88e-160, 1e-170])
+def test_tiny_load_scales_the_solution(alpha):
+    # norm(b) underflows for these loads unless pcg rescales them first
+    grid = box_grid(24)
+    op = assemble(power_kernel(0.45), grid)
+    f = np.cos(2 * grid.centers[:, 0])
+    u1 = solve_elliptic(op, f).vector
+    u = solve_elliptic(op, alpha * f).vector
+    assert np.max(np.abs(u - alpha * u1)) <= 1e-9 * np.max(np.abs(alpha * u1))
+
+
 def test_reflection_symmetry_of_solution():
     n = 48
     grid = box_grid(n)

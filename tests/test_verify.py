@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
+from levysym import verify
 from levysym.assembly import assemble, build_rhs
 from levysym.kernels import (IntegrabilityError, Kernel, RadialProfile,
                              make_modulation)
@@ -431,6 +432,30 @@ class TestCoarea:
         u = GridFunction(grid, np.where(grid.mask_flat, -0.5, 0.0))
         with pytest.raises(ValueError):
             check_coarea(op, u)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_incremental_cut_matches_per_level_perimeters(self, dim, monkeypatch):
+        # small row blocks so the cut crosses several block boundaries
+        monkeypatch.setattr(verify, "CUT_BLOCK", 7)
+        if dim == 1:
+            grid = interval_domain(40, [(-0.9, -0.2), (0.1, 0.7)])
+        else:
+            c = box_grid(12, dim=2).centers
+            grid = box_grid(12, dim=2, mask=((c[:, 0] < 0.3) | (c[:, 1] > 0.5)).reshape(12, 12))
+        op = assemble(power_kernel(0.4, dim=dim), grid)
+        rng = np.random.default_rng(7 + dim)
+        for _ in range(5):
+            # few distinct values, zeros included: many tied cells per level
+            vals = 0.25 * rng.integers(0, 6, grid.masked_count)
+            levels = np.unique(np.concatenate(([0.0], vals)))
+            want = sum((hi - lo) * verify.perimeter_of(op, vals > lo)
+                       for lo, hi in zip(levels[:-1], levels[1:]))
+            counts = vals.size - np.searchsorted(np.sort(vals), levels[:-1], side="right")
+            got = float(np.sum(np.diff(levels) * verify.prefix_cuts(op, vals)[counts]))
+            assert got == pytest.approx(want, rel=1e-12)
+            full = np.zeros(grid.cell_count)
+            full[grid.masked_indices] = vals
+            assert check_coarea(op, GridFunction(grid, full)).slack <= 1e-12
 
 
 class TestTruncate:
