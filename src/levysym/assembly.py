@@ -18,6 +18,15 @@ evaluates the profile once on the (2n - 1)^N integer offsets of the box
 gathers from that table; a modulation a(x_i, x_j) multiplies the gathered
 values on the same pairs.  No thread pool is involved.
 
+Without modulation the near weight of a pair depends on its offset too,
+so every weight is T[p_i - p_j] for one table T: the far table with the
+near constants written in.  Such an operator stores the Fourier symbol
+of the (2n)^N circulant embedding of T, and its linear system is a
+ToeplitzSystem that applies W by FFT instead of a dense m x m matrix.
+Modulated and radial operators have no symbol; their system is the dense
+`matrix`.  The dense `weight_matrix` and `matrix` stay available on every
+operator and are built only when something asks for them.
+
 Killing collects everything the masked cell sees outside the domain: the
 same pairwise weights toward unmasked in-box cells, plus the analytic
 radial tail beyond the box.  The tail knows only the envelope J, so with
@@ -54,6 +63,7 @@ __all__ = [
     "AssemblyError",
     "DiscreteOperator",
     "RadialGrid",
+    "ToeplitzSystem",
     "assemble",
     "assemble_radial",
     "build_rhs",
@@ -129,7 +139,8 @@ class DiscreteOperator:
     weights holds the strict upper triangle of the pairwise matrix in
     row-major pair order (np.triu_indices order, see triu_blocks).  kappa
     and cdiag are the killing and lower-order diagonals, already
-    volume-weighted.
+    volume-weighted.  symbol is the Fourier symbol of the weights when they
+    depend on the index offset only (see ToeplitzSystem), else None.
     """
 
     grid: object
@@ -139,6 +150,7 @@ class DiscreteOperator:
     cdiag: np.ndarray
     tail_interval: np.ndarray
     diagnostics: dict = field(default_factory=dict)
+    symbol: np.ndarray | None = None
 
     def __post_init__(self):
         m = self.size
@@ -170,8 +182,28 @@ class DiscreteOperator:
         np.fill_diagonal(A, d)
         return A
 
+    @cached_property
+    def degree(self) -> np.ndarray:
+        """Row sums of the weight matrix."""
+        if self.symbol is None:
+            return self.weight_matrix.sum(axis=1)
+        return ToeplitzSystem(self.symbol, self.grid).weights_times(np.ones(self.size))
+
+    def system(self, mass: np.ndarray | None = None):
+        """The matrix A + diag(mass) in the form pcg takes: a ToeplitzSystem
+        when the operator has a symbol, a dense array otherwise."""
+        cdiag = self.cdiag if mass is None else self.cdiag + mass
+        if self.symbol is not None:
+            return ToeplitzSystem(self.symbol, self.grid,
+                                  self.degree + self.kappa + cdiag)
+        if mass is None:
+            return self.matrix
+        A = np.negative(self.weight_matrix)
+        np.fill_diagonal(A, self.degree + self.kappa + cdiag)
+        return A
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
+        return self.system() @ x
 
     def with_cdiag(self, cdiag: np.ndarray) -> "DiscreteOperator":
         """Same interaction weights with a replaced lower-order diagonal."""
@@ -179,7 +211,53 @@ class DiscreteOperator:
         return DiscreteOperator(grid=self.grid, volumes=self.volumes,
                                 weights=self.weights, kappa=self.kappa,
                                 cdiag=cdiag, tail_interval=self.tail_interval,
-                                diagnostics=self.diagnostics)
+                                diagnostics=self.diagnostics, symbol=self.symbol)
+
+
+class ToeplitzSystem:
+    """diag - W over the masked cells of a grid, for weights W_ij =
+    T[p_i - p_j] that depend on the index offset only.
+
+    W x scatters x into a zero (2n)^N box, multiplies its rfftn by the
+    symbol of the circulant embedding of T and gathers the masked cells
+    of the irfftn back.  The box is twice the grid per axis, so no offset
+    between two cells wraps around.  Has the shape, diagonal() and @ that
+    pcg uses.
+    """
+
+    def __init__(self, symbol: np.ndarray, grid: Grid, diag: np.ndarray | None = None):
+        n, dim = grid.n, grid.dimension
+        strides = (2 * n) ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+        self.symbol = symbol
+        self.box = (2 * n,) * dim
+        self.axes = tuple(range(dim))
+        self.cells = grid.index_array[grid.masked_indices] @ strides
+        self.diag = diag
+        self.shape = (self.cells.size, self.cells.size)
+
+    def diagonal(self) -> np.ndarray:
+        return self.diag
+
+    def weights_times(self, x: np.ndarray) -> np.ndarray:
+        box = np.zeros(self.box)
+        box.reshape(-1)[self.cells] = x
+        y = np.fft.irfftn(self.symbol * np.fft.rfftn(box, axes=self.axes),
+                          s=self.box, axes=self.axes)
+        return y.reshape(-1)[self.cells]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.diag * x - self.weights_times(x)
+
+
+def circulant_symbol(table: np.ndarray, n: int, dim: int) -> np.ndarray:
+    """rfftn of the (2n)^N circulant embedding of an offset table over
+    (2n - 1)^N offsets in C order.  The table is even, so the transform is
+    real and only its real part is kept."""
+    emb = np.zeros((2 * n,) * dim)
+    emb[(slice(0, 2 * n - 1),) * dim] = table.reshape((2 * n - 1,) * dim)
+    axes = tuple(range(dim))
+    emb = np.roll(emb, (1 - n,) * dim, axis=axes)
+    return np.fft.rfftn(emb, axes=axes).real
 
 
 def triu_blocks(m: int, limit: int = TRIU_BLOCK):
@@ -389,7 +467,7 @@ def far_offset_table(kernel: Kernel, grid: Grid) -> tuple:
     return table, far
 
 
-def far_field(kernel: Kernel, grid: Grid) -> tuple:
+def far_field(kernel: Kernel, grid: Grid, offsets: tuple | None = None) -> tuple:
     """Midpoint rule against every box cell at Chebyshev index distance > 2:
     (W, kappa) with the masked targets in the masked-cell matrix W and the
     unmasked ones summed per row into kappa.
@@ -397,10 +475,12 @@ def far_field(kernel: Kernel, grid: Grid) -> tuple:
     The weight of cells i, j is table[zero + p_i - p_j], with p the flat
     position of a cell's index in the offset table and zero that of the
     zero offset, times a(x_i, x_j) on modulated kernels and the squared
-    volume.
+    volume.  offsets is far_offset_table(kernel, grid) when the caller
+    already has it; without modulation its table is scaled in place to the
+    far weights.
     """
     n, dim = grid.n, grid.dimension
-    table, far = far_offset_table(kernel, grid)
+    table, far = far_offset_table(kernel, grid) if offsets is None else offsets
     scale = grid.cell_volume ** 2
     modulated = kernel.modulation is not None
     if not modulated:
@@ -457,15 +537,21 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> Discr
     local = np.full(grid.cell_count, -1, dtype=np.int64)
     local[midx] = np.arange(m)
 
-    W, kappa = far_field(kernel, grid)
+    table, far = far_offset_table(kernel, grid)
+    W, kappa = far_field(kernel, grid, (table, far))
     t_far = time.perf_counter()
 
     # near field: refined symmetric quadrature per index offset; masked
     # pairs are handled once from the lex-positive side, masked-to-unmasked
-    # visits are unique as ordered pairs and feed the killing term
+    # visits are unique as ordered pairs and feed the killing term.  An
+    # unmodulated near weight is one constant per offset, which goes into
+    # the table at +delta and -delta.
+    invariant = kernel.modulation is None
     depths = {}
     nmax = grid.n
     strides = nmax ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    tstrides = (2 * nmax - 1) ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    zero = (nmax - 1) * int(tstrides.sum())
     ivec = index[midx]
     for delta in near_offsets(dim):
         target = ivec + np.asarray(delta, dtype=np.int64)
@@ -485,6 +571,9 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> Discr
             continue
         wvals, depth = refined_pair_weights(kernel, centers, midx[rows_local], delta, h)
         depths[str(delta)] = depth
+        if invariant:
+            at = zero + int(np.dot(delta, tstrides))
+            table[at] = table[2 * zero - at] = wvals[0]
         sel = rows_local[tmasked]
         cols = local[tflat[tmasked]]
         W[sel, cols] = wvals[tmasked]
@@ -512,6 +601,7 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> Discr
 
     weights = pack_upper(W)
     del W
+    symbol = circulant_symbol(table, nmax, dim) if invariant else None
     diag = {
         "mode": "grid",
         "dimension": dim,
@@ -525,6 +615,7 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> Discr
         "tail_to_kappa_median_ratio": med_tail / med_kappa if med_kappa > 0 else math.inf,
         "kappa_inbox_median": kappa_inbox_median,
         "box_margin_ok": bool(margin_ok),
+        "matvec": "dense" if symbol is None else "fft",
         "far_seconds": t_far - t0,
         "near_seconds": t_near - t_far,
         "tail_seconds": t_tail - t_near,
@@ -533,7 +624,7 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> Discr
     return DiscreteOperator(grid=grid, volumes=np.full(m, vol), weights=weights,
                             kappa=kappa, cdiag=cvals * vol,
                             tail_interval=np.stack([tail_lo, tail_hi], axis=1),
-                            diagnostics=diag)
+                            diagnostics=diag, symbol=symbol)
 
 
 def shell_mass_from_point(profile: RadialProfile, dim: int, rho: float,
@@ -604,6 +695,7 @@ def assemble_radial(profile: RadialProfile, R: float, shells: int,
         "dimension": dim,
         "shells": shells,
         "radius": R,
+        "matvec": "dense",
         "assembly_seconds": time.perf_counter() - t0,
     }
     return DiscreteOperator(grid=rgrid, volumes=vols, weights=pack_upper(W),

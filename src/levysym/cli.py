@@ -649,8 +649,10 @@ def run_scenario(cfg, mode):
     reports = []
     checks_path = os.path.join(outdir, "checks.jsonl")
     digest = config_hash(cfg.raw)
+    check_seconds = {}
     try:
         for name in cfg.checks:
+            t_check = time.perf_counter()
             if name == "comparison":
                 reports.append(check_comparison(u_fn, v_fn,
                                                 kappa_tol=cfg.kappa_tol))
@@ -668,6 +670,7 @@ def run_scenario(cfg, mode):
             elif name == "parabolic":
                 reports.extend(check_parabolic_comparison(
                     traj_u, traj_v, kappa_tol=cfg.kappa_tol))
+            check_seconds[name] = time.perf_counter() - t_check
     finally:
         # the contract: reports reached are on disk even when a later check
         # blows up
@@ -675,7 +678,8 @@ def run_scenario(cfg, mode):
 
     diagnostics["checks"] = {"requested": list(cfg.checks),
                              "reports": len(reports),
-                             "failed": sum(not r.passed for r in reports)}
+                             "failed": sum(not r.passed for r in reports),
+                             "seconds": check_seconds}
     diagnostics["total_seconds"] = time.perf_counter() - t_start
     with open(os.path.join(outdir, "diagnostics.json"), "w") as fh:
         json.dump(json_ready(diagnostics), fh, indent=2, sort_keys=True)

@@ -274,14 +274,22 @@ def concentration_curve(f: GridFunction, radii: Sequence[float]) -> Concentratio
     radii = np.asarray(radii, dtype=np.float64)
     if radii.ndim != 1 or radii.size == 0:
         raise ValueError("need a nonempty 1-D radii sequence")
-    if np.any(np.diff(radii) <= 0):
+    # the comparison is False on NaN, so only the last radius can be
+    # infinite or, alone, NaN
+    if not (radii[1:] > radii[:-1]).all():
         raise ValueError("radii must be strictly increasing")
+    if radii[0] < 0:
+        raise ValueError("radius must be nonnegative")
+    if not math.isfinite(radii[-1]):
+        raise ValueError("radii must be finite")
     grid = f.grid
-    ks = np.array([grid.snap_radius(r) for r in radii], dtype=np.int64)
-    if np.any(np.diff(ks) <= 0):
+    # Grid.snap_radius over the whole array
+    ks = np.ceil(radii / grid.h - 1e-9).astype(np.int64)
+    if not (ks[1:] > ks[:-1]).all():
         raise ValueError("distinct radii snapped to the same cell boundary")
     counts = np.searchsorted(grid.sorted_radius_keys, 4 * ks * ks, side="right")
-    prefix = np.concatenate([[0.0], np.cumsum(f.values[grid.schwarz_order])])
+    prefix = np.zeros(grid.cell_count + 1)
+    np.cumsum(f.values[grid.schwarz_order], out=prefix[1:])
     integrals = grid.cell_volume * prefix[counts]
     return ConcentrationCurve(radii=grid.h * ks.astype(np.float64), integrals=integrals)
 

@@ -5,6 +5,11 @@ gradients with a fixed zero initial guess, so repeated runs are bitwise
 deterministic.  The parabolic march is implicit Euler: each step solves
 the elliptic system shifted by the volume-weighted mass over the step
 size, which stays symmetric positive definite for every step size.
+
+Both solve the operator's `system`: for a translation-invariant operator
+a ToeplitzSystem whose products go through the FFT, for a modulated or
+radial one the dense matrix.  The mass shift is a diagonal added to that
+system once per march.
 """
 
 from __future__ import annotations
@@ -41,11 +46,12 @@ class SolverError(RuntimeError):
         self.residual_history = tuple(residual_history)
 
 
-def pcg(A: np.ndarray, b: np.ndarray, tol: float, max_iter: int):
+def pcg(A, b: np.ndarray, tol: float, max_iter: int):
     """Jacobi-preconditioned conjugate gradients from the zero vector.
 
-    Returns (x, iterations, relative_residual, history).  Raises
-    SolverError with the residual history when max_iter is exhausted.
+    A is anything with `shape`, `diagonal()` and `@`: a dense array or a
+    ToeplitzSystem.  Returns (x, iterations, relative_residual, history).
+    Raises SolverError with the residual history when max_iter is exhausted.
     The load is scaled by a power of two to max |b| in [1/2, 1) first, so
     tiny loads neither underflow nor change the iterates' rounding.
     """
@@ -55,7 +61,7 @@ def pcg(A: np.ndarray, b: np.ndarray, tol: float, max_iter: int):
     _, shift = np.frexp(big)
     b = np.ldexp(b, -shift)
     norm_b = float(np.linalg.norm(b))
-    d = np.diag(A).copy()
+    d = A.diagonal()
     if np.any(d <= 0):
         raise SolverError("system diagonal is not positive")
     x = np.zeros_like(b)
@@ -120,7 +126,7 @@ def solve_elliptic(op: DiscreteOperator, f, tol: float = 1e-10,
     b = build_rhs(op, as_dof_vector(op, f))
     if max_iter is None:
         max_iter = 20 * op.size + 200
-    x, iters, rel, history = pcg(op.matrix, b, tol, max_iter)
+    x, iters, rel, history = pcg(op.system(), b, tol, max_iter)
     value = 0.5 * energy(op, x) - float(b @ x)
     return EllipticSolution(vector=x, function=to_grid_function(op, x),
                             iterations=iters, residual_norm=rel,
@@ -238,15 +244,15 @@ def parabolic_solve(op_factory, f_n, u0, timegrid: TimeGrid,
     iterations = []
     shifted_const = None
     if not callable(op_factory):
-        shifted_const = base.with_cdiag(base.cdiag + base.volumes / dt)
+        shifted_const = base.system(base.volumes / dt)
     for n in range(steps):
         opn = op_factory(n) if callable(op_factory) else op_factory
         shifted = (shifted_const if shifted_const is not None
-                   else opn.with_cdiag(opn.cdiag + opn.volumes / dt))
+                   else opn.system(opn.volumes / dt))
         fvec = as_dof_vector(opn, f_list[n])
         b = opn.volumes * (fvec + u / dt)
         try:
-            u, it, rel, _ = pcg(shifted.matrix, b, tol, max_iter)
+            u, it, rel, _ = pcg(shifted, b, tol, max_iter)
         except SolverError as err:
             raise SolverError(f"time step {n} failed: {err}",
                               err.residual_history) from err

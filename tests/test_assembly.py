@@ -227,6 +227,69 @@ class TestOffsetTable:
         assert sum(phases) <= d["assembly_seconds"]
 
 
+def fourier_cases():
+    """Unmodulated operators on masked 1-D and 2-D grids, a centered ball
+    and a grid with a nonzero lower-order coefficient."""
+    g2 = two_piece_grid(2)
+    c = GridFunction.from_callable(g2, lambda x, y: 1.0 + x * x + 0.5 * y)
+    return {
+        "masked-1d": assemble(frac_kernel(0.4), two_piece_grid(1), None),
+        "masked-2d": assemble(frac_kernel(0.4, dim=2), g2, None),
+        "ball": assemble(frac_kernel(0.3, dim=2), g2.ball_grid, None),
+        "with-c": assemble(frac_kernel(0.6, dim=2), g2, c),
+    }
+
+
+class TestToeplitzSystem:
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return fourier_cases()
+
+    @pytest.mark.parametrize("name", ["masked-1d", "masked-2d", "ball", "with-c"])
+    def test_matvec_matches_dense(self, cases, name):
+        op = cases[name]
+        assert op.diagnostics["matvec"] == "fft"
+        rng = np.random.default_rng(7)
+        for x in (rng.normal(size=op.size), np.ones(op.size)):
+            want = op.matrix @ x
+            got = op.matvec(x)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name", ["masked-1d", "masked-2d", "ball", "with-c"])
+    def test_diagonal_matches_dense(self, cases, name):
+        op = cases[name]
+        np.testing.assert_allclose(op.system().diagonal(), np.diag(op.matrix),
+                                   rtol=1e-14, atol=0.0)
+
+    def test_mass_shift_is_a_diagonal(self, cases):
+        op = cases["with-c"]
+        mass = np.linspace(1.0, 3.0, op.size)
+        x = np.random.default_rng(8).normal(size=op.size)
+        want = op.matrix @ x + mass * x
+        got = op.system(mass) @ x
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # the carried-over symbol keeps with_cdiag operators on the FFT path
+        shifted = op.with_cdiag(op.cdiag + mass)
+        assert shifted.symbol is op.symbol
+        np.testing.assert_allclose(shifted.system().diagonal(),
+                                   op.system(mass).diagonal(), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("tag", ["separable_cosine", "rough_cosine"])
+    def test_modulated_operators_stay_dense(self, tag):
+        op = assemble(modulated_kernel(tag, 1), two_piece_grid(1), None)
+        assert op.diagnostics["matvec"] == "dense"
+        assert op.symbol is None
+        assert op.system() is op.matrix
+        mass = np.full(op.size, 2.0)
+        np.testing.assert_allclose(op.system(mass), op.matrix + np.diag(mass),
+                                   rtol=1e-15, atol=0.0)
+
+    def test_radial_operator_stays_dense(self):
+        rad = assemble_radial(RadialProfile.power(0.4, dimension=2), 1.0, 12, None, 2)
+        assert rad.diagnostics["matvec"] == "dense"
+        assert rad.system() is rad.matrix
+
+
 class TestRowSums:
     def test_rowsum_oracle_s025(self):
         # independent adaptive-quadrature oracle for the full interaction

@@ -145,6 +145,20 @@ class TestRunScenario:
         assert diag["checks"]["failed"] == 0
         assert diag["grid"]["n"] == 64
 
+    def test_diagnostics_record_matvec_and_check_seconds(self, tmp_path):
+        cfg = parse_config(write_config(
+            tmp_path, checks=["comparison", "energy", "coarea"],
+            kernel={"kind": "fractional", "s": 0.5, "Lambda": 2.0,
+                    "modulation": "separable_cosine"}))
+        run_scenario(cfg, "elliptic")
+        diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        # the symmetrized operator drops the modulation
+        assert diag["assembly"]["original"]["matvec"] == "dense"
+        assert diag["assembly"]["symmetrized"]["matvec"] == "fft"
+        seconds = diag["checks"]["seconds"]
+        assert sorted(seconds) == ["coarea", "comparison", "energy"]
+        assert all(t >= 0 for t in seconds.values())
+
     def test_concentration_csv_columns(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
         run_scenario(cfg, "elliptic")

@@ -255,6 +255,24 @@ class TestConcentration:
         curve = concentration_curve(f, [0.25])
         assert curve.radii[0] == pytest.approx(0.4, rel=1e-15)
 
+    @pytest.mark.parametrize("dim, n, half_width", [(1, 1024, 1.0), (2, 64, 1.0),
+                                                   (1, 10, 1.0), (2, 12, 1.3)])
+    @pytest.mark.parametrize("shift", [0.0, 0.5])
+    def test_snapping_matches_snap_radius(self, dim, n, half_width, shift):
+        # h = 0.2 and 2.6 / 12 put k h / h above k for some k
+        g = Grid.full_box(dim, half_width, n)
+        radii = default_radii(g) - shift * g.h
+        curve = concentration_curve(GridFunction.constant(g, 1.0), radii)
+        want = np.array([g.snap_radius(r) for r in radii], dtype=np.float64) * g.h
+        assert np.array_equal(curve.radii, want)
+
+    @pytest.mark.parametrize("radii", [[-0.1, 0.5], [0.1, np.nan, 0.5],
+                                       [0.1, np.inf], [0.21, 0.25]])
+    def test_bad_radii_rejected(self, radii):
+        g = Grid.full_box(1, 1.0, 10)  # h = 0.2; 0.21 and 0.25 share a cell
+        with pytest.raises(ValueError):
+            concentration_curve(GridFunction.constant(g, 1.0), radii)
+
     def test_monotone_and_total(self):
         g = interval_grid(64, half_width=2.0, inner=1.7)
         f = masked_function(g, seed=2)

@@ -464,3 +464,46 @@ def test_write_trajectory_radial(tmp_path):
     text = (tmp_path / "rad" / "u_1.csv").read_text().splitlines()
     assert text[0] == "rho,value"
     assert len(text) == 11
+
+
+def two_piece_ops():
+    """Unmodulated FFT-path operators on a masked 1-D and 2-D grid."""
+    x = box_grid(64).centers[:, 0]
+    g1 = box_grid(64, mask=(x < -0.3) | (x > 0.1))
+    c = box_grid(16, dim=2).centers
+    g2 = box_grid(16, dim=2,
+                  mask=((c[:, 0] < -0.2) | ((c[:, 1] > 0.3) & (c[:, 0] < 0.6))
+                        ).reshape(16, 16))
+    return [assemble(power_kernel(0.4), g1),
+            assemble(power_kernel(0.3, dim=2), g2,
+                     GridFunction.constant(g2, 0.5))]
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_parabolic_fft_march_matches_dense_march(index):
+    op = two_piece_ops()[index]
+    assert op.diagnostics["matvec"] == "fft"
+    tg = TimeGrid(horizon=0.5, steps=6)
+    rng = np.random.default_rng(5)
+    f = rng.uniform(0.0, 1.0, size=op.size)
+    u0 = rng.uniform(0.0, 1.0, size=op.size)
+    traj = parabolic_solve(op, f, u0, tg)
+    # the same march through the dense shifted matrix
+    dense = op.matrix + np.diag(op.volumes / tg.dt)
+    u = u0
+    for n in range(tg.steps):
+        u, it, _, _ = pcg(dense, op.volumes * (f + u / tg.dt), 1e-10, 10_000)
+        assert traj.iterations[n] == it
+        assert np.max(np.abs(traj.states[n] - u)) <= 1e-12 * np.max(np.abs(u))
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_elliptic_fft_solve_skips_dense_matrix(index):
+    op = two_piece_ops()[index]
+    f = GridFunction.constant(op.grid, 1.0)
+    sol = solve_elliptic(op, f)
+    assert "matrix" not in vars(op)
+    assert "weight_matrix" not in vars(op)
+    x, it, _, _ = pcg(op.matrix, build_rhs(op, f), 1e-10, 10_000)
+    assert sol.iterations == it
+    assert np.max(np.abs(sol.vector - x)) <= 1e-12 * np.max(np.abs(x))
