@@ -3,12 +3,18 @@ Schwarz symmetrization, and mass-concentration comparison checks."""
 
 import os as _os
 
-# must run before numpy is first imported or the BLAS pools ignore it
-_threads = _os.environ.get("LEVYSYM_THREADS", "").strip()
-if _threads.isdigit() and int(_threads) > 0:
+from levysym.env import thread_setting as _thread_setting
+
+# must run before numpy is first imported or the BLAS pools ignore it; an
+# invalid value is reported by assemble and the CLI instead
+try:
+    _threads = _thread_setting()
+except ValueError:
+    _threads = None
+if _threads is not None:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
-del _os, _threads
+        _os.environ.setdefault(_var, str(_threads))
+del _os, _thread_setting, _threads
 
 from levysym.kernels import (
     Kernel,

@@ -20,12 +20,14 @@ values on the same pairs.  No thread pool is involved.
 
 Without modulation the near weight of a pair depends on its offset too,
 so every weight is T[p_i - p_j] for one table T: the far table with the
-near constants written in.  Such an operator stores the Fourier symbol
-of the (2n)^N circulant embedding of T, and its linear system is a
-ToeplitzSystem that applies W by FFT instead of a dense m x m matrix.
-Modulated and radial operators have no symbol; their system is the dense
-`matrix`.  The dense `weight_matrix` and `matrix` stay available on every
-operator and are built only when something asks for them.
+near constants written in.  Such an operator stores T and the Fourier
+symbol of its (2n)^N circulant embedding, and its linear system is a
+ToeplitzSystem that applies W by FFT.  Modulated and radial operators
+store the dense symmetric m x m W instead, and their system is the dense
+`matrix`.  Either way the pair weights are stored once; the energy is one
+product with the system.  The dense `weight_matrix` of a table operator
+and the `matrix` of every operator are built only when something asks
+for them.
 
 Killing collects everything the masked cell sees outside the domain: the
 same pairwise weights toward unmasked in-box cells, plus the analytic
@@ -39,14 +41,14 @@ under which both the box and the midpoint angle rule are invariant.
 from __future__ import annotations
 
 import math
-import os
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
+from .env import thread_setting
 from .kernels import (
     Kernel,
     RadialProfile,
@@ -77,10 +79,8 @@ NEAR_CAP_2D = 256
 TAIL_ANGLES = 2048
 # bound on rows x subcells per modulation evaluation block
 NEAR_BLOCK = 4_000_000
-# bound on the entries of one row block of far-field gathers or tail rays
+# bound on the entries of one row block of offset-table gathers or tail rays
 ROW_BLOCK = 1 << 20
-# bound on pairs per block when walking the packed upper triangle
-TRIU_BLOCK = 1 << 18
 
 
 class AssemblyError(RuntimeError):
@@ -88,14 +88,8 @@ class AssemblyError(RuntimeError):
 
 
 def thread_count() -> int:
-    raw = os.environ.get("LEVYSYM_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        raise ValueError(f"LEVYSYM_THREADS must be an integer, got {raw!r}")
-    if k < 1:
-        raise ValueError("LEVYSYM_THREADS must be at least 1")
-    return k
+    """LEVYSYM_THREADS, 1 when unset or blank; ValueError when invalid."""
+    return thread_setting() or 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,16 +130,18 @@ class RadialGrid:
 class DiscreteOperator:
     """Symmetric nonlocal stiffness operator over the masked cells.
 
-    weights holds the strict upper triangle of the pairwise matrix in
-    row-major pair order (np.triu_indices order, see triu_blocks).  kappa
-    and cdiag are the killing and lower-order diagonals, already
-    volume-weighted.  symbol is the Fourier symbol of the weights when they
-    depend on the index offset only (see ToeplitzSystem), else None.
+    pairs holds the pairwise weights W in one form.  When they depend on
+    the index offset only, symbol is the Fourier symbol of W (see
+    ToeplitzSystem) and pairs the offset table T over the (2n - 1)^N
+    offsets of the box, W_ij = T[zero + p_i - p_j] (see table_positions).
+    Otherwise symbol is None and pairs is the dense symmetric m x m W.
+    kappa and cdiag are the killing and lower-order diagonals, already
+    volume-weighted.
     """
 
     grid: object
     volumes: np.ndarray
-    weights: np.ndarray
+    pairs: np.ndarray
     kappa: np.ndarray
     cdiag: np.ndarray
     tail_interval: np.ndarray
@@ -154,26 +150,32 @@ class DiscreteOperator:
 
     def __post_init__(self):
         m = self.size
-        if self.weights.shape != (m * (m - 1) // 2,):
-            raise ValueError("weights must cover the strict upper triangle")
+        if self.symbol is None and self.pairs.shape != (m, m):
+            raise ValueError("dense pair weights must be an m x m matrix")
         for name in ("kappa", "cdiag"):
             if getattr(self, name).shape != (m,):
                 raise ValueError(f"{name} must have one entry per masked cell")
-        if np.any(self.weights < 0) or np.any(self.kappa < 0) or np.any(self.cdiag < 0):
+        if np.any(self.pairs < 0) or np.any(self.kappa < 0) or np.any(self.cdiag < 0):
             raise ValueError("weights, kappa and cdiag must be nonnegative")
 
     @property
     def size(self) -> int:
         return self.volumes.size
 
-    @cached_property
+    @property
     def weight_matrix(self) -> np.ndarray:
-        m = self.size
-        W = np.zeros((m, m))
-        for start, stop, rows, cols in triu_blocks(m):
-            W[rows, cols] = self.weights[start:stop]
-            W[cols, rows] = self.weights[start:stop]
-        return W
+        """The dense m x m W: the stored one, or gathered from the offset
+        table on first use and cached under this name."""
+        if self.symbol is None:
+            return self.pairs
+        if "weight_matrix" not in self.__dict__:
+            self.__dict__["weight_matrix"] = table_matrix(self.pairs, self.grid)
+        return self.__dict__["weight_matrix"]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Strict upper triangle of weight_matrix in np.triu_indices order."""
+        return self.weight_matrix[np.triu_indices(self.size, 1)]
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -207,11 +209,7 @@ class DiscreteOperator:
 
     def with_cdiag(self, cdiag: np.ndarray) -> "DiscreteOperator":
         """Same interaction weights with a replaced lower-order diagonal."""
-        cdiag = np.asarray(cdiag, dtype=np.float64)
-        return DiscreteOperator(grid=self.grid, volumes=self.volumes,
-                                weights=self.weights, kappa=self.kappa,
-                                cdiag=cdiag, tail_interval=self.tail_interval,
-                                diagnostics=self.diagnostics, symbol=self.symbol)
+        return replace(self, cdiag=np.asarray(cdiag, dtype=np.float64))
 
 
 class ToeplitzSystem:
@@ -260,74 +258,55 @@ def circulant_symbol(table: np.ndarray, n: int, dim: int) -> np.ndarray:
     return np.fft.rfftn(emb, axes=axes).real
 
 
-def triu_blocks(m: int, limit: int = TRIU_BLOCK):
-    """Walk the strict upper triangle of an m x m matrix in row blocks.
-
-    Yields (start, stop, rows, cols): the slice of the packed pair vector
-    (np.triu_indices order) and the row and column index of each pair in
-    it.  A block holds at most `limit` pairs unless a single row is longer.
-    """
-    counts = np.arange(m - 1, -1, -1, dtype=np.int64)
-    starts = np.concatenate(([0], np.cumsum(counts)))
-    lo = 0
-    while lo < m - 1:
-        hi = int(np.searchsorted(starts, starts[lo] + limit, side="right")) - 1
-        hi = max(hi, lo + 1)
-        rows = np.repeat(np.arange(lo, hi), counts[lo:hi])
-        cols = (np.arange(starts[lo], starts[hi])
-                - np.repeat(starts[lo:hi], counts[lo:hi]) + rows + 1)
-        yield int(starts[lo]), int(starts[hi]), rows, cols
-        lo = hi
+def table_positions(grid: Grid, rows, cols) -> np.ndarray:
+    """Offset-table positions zero + p_i - p_j of the box cells i in rows
+    against j in cols, one row per i: p is the C-order position of a cell's
+    index in the (2n - 1)^N offset table, zero that of the zero offset."""
+    n, dim = grid.n, grid.dimension
+    strides = (2 * n - 1) ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    zero = (n - 1) * int(strides.sum())
+    index = grid.index_array
+    return (zero + index[rows] @ strides)[:, None] - (index[cols] @ strides)[None, :]
 
 
-def pack_upper(W: np.ndarray) -> np.ndarray:
-    """Strict upper triangle of the square matrix W in packed pair order."""
-    m = W.shape[0]
-    out = np.empty(m * (m - 1) // 2)
-    for start, stop, rows, cols in triu_blocks(m):
-        out[start:stop] = W[rows, cols]
-    return out
+def table_matrix(table: np.ndarray, grid: Grid) -> np.ndarray:
+    """Dense weights table[zero + p_i - p_j] over the masked cells, gathered
+    in row blocks."""
+    midx = grid.masked_indices
+    W = np.empty((midx.size, midx.size))
+    step = max(1, ROW_BLOCK // max(midx.size, 1))
+    for lo in range(0, midx.size, step):
+        W[lo:lo + step] = table[table_positions(grid, midx[lo:lo + step], midx)]
+    return W
 
 
-def masked_vector(grid: Grid, f) -> np.ndarray:
-    """Degree-of-freedom vector of f: GridFunction or array over masked cells."""
+def masked_vector(grid, f) -> np.ndarray:
+    """Degree-of-freedom vector of f over an operator grid: a GridFunction
+    on the same mask, or an array with one entry per masked cell (per shell
+    on a RadialGrid)."""
     if isinstance(f, GridFunction):
-        if f.grid is not grid and not np.array_equal(f.grid.mask_flat, grid.mask_flat):
+        if f.grid is not grid and not (isinstance(grid, Grid) and
+                                       np.array_equal(f.grid.mask_flat, grid.mask_flat)):
             raise ValueError("function mask does not match the operator grid")
         return f.masked_values
     f = np.asarray(f, dtype=np.float64)
-    if f.shape != (grid.masked_count,):
-        raise ValueError("vector length does not match the masked cell count")
+    size = grid.masked_count if isinstance(grid, Grid) else grid.shells
+    if f.shape != (size,):
+        raise ValueError("vector length does not match the operator")
     return f
 
 
 def energy(op: DiscreteOperator, u) -> float:
-    """Bilinear energy of u: sum over pairs of w (u_i - u_j)^2 plus the
-    killing and lower-order diagonal terms.  Agrees with u^T A u."""
-    if isinstance(u, GridFunction):
-        u = masked_vector(op.grid, u)
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (op.size,):
-        raise ValueError("vector length does not match the operator")
-    pairs = 0.0
-    for start, stop, rows, cols in triu_blocks(op.size):
-        d = u[rows] - u[cols]
-        pairs += float(np.dot(op.weights[start:stop], d * d))
-    return float(self_energy_terms(op, u) + pairs)
-
-
-def self_energy_terms(op: DiscreteOperator, u: np.ndarray) -> float:
-    return float(np.dot(op.kappa + op.cdiag, u * u))
+    """Bilinear energy u^T A u: the sum over pairs of w (u_i - u_j)^2 plus
+    the killing and lower-order diagonal terms, by one product with the
+    operator's system."""
+    u = masked_vector(op.grid, u)
+    return float(u @ (op.system() @ u))
 
 
 def build_rhs(op: DiscreteOperator, f) -> np.ndarray:
     """Volume-weighted load vector b_i = vol_i f_i."""
-    if isinstance(f, GridFunction):
-        f = masked_vector(op.grid, f)
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (op.size,):
-        raise ValueError("load length does not match the operator")
-    return op.volumes * f
+    return op.volumes * masked_vector(op.grid, f)
 
 
 def subcell_offsets(h: float, m: int, dim: int) -> np.ndarray:
@@ -472,28 +451,23 @@ def far_field(kernel: Kernel, grid: Grid, offsets: tuple | None = None) -> tuple
     (W, kappa) with the masked targets in the masked-cell matrix W and the
     unmasked ones summed per row into kappa.
 
-    The weight of cells i, j is table[zero + p_i - p_j], with p the flat
-    position of a cell's index in the offset table and zero that of the
-    zero offset, times a(x_i, x_j) on modulated kernels and the squared
+    The weight of cells i, j is table[zero + p_i - p_j] (see
+    table_positions), times a(x_i, x_j) on modulated kernels and the squared
     volume.  offsets is far_offset_table(kernel, grid) when the caller
     already has it; without modulation its table is scaled in place to the
     far weights.
     """
-    n, dim = grid.n, grid.dimension
     table, far = far_offset_table(kernel, grid) if offsets is None else offsets
     scale = grid.cell_volume ** 2
     modulated = kernel.modulation is not None
     if not modulated:
         table *= scale
-    strides = (2 * n - 1) ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-    pos = grid.index_array @ strides
-    zero = (n - 1) * int(strides.sum())
-    points = grid.centers[:, 0] if dim == 1 else grid.centers
+    points = grid.centers[:, 0] if grid.dimension == 1 else grid.centers
     midx = grid.masked_indices
     outside = np.flatnonzero(~grid.mask_flat)
 
     def block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        at = (zero + pos[rows])[:, None] - pos[cols][None, :]
+        at = table_positions(grid, rows, cols)
         k = table[at]
         if modulated:
             ri, ci = np.nonzero(far[at])
@@ -545,13 +519,12 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> Discr
     # pairs are handled once from the lex-positive side, masked-to-unmasked
     # visits are unique as ordered pairs and feed the killing term.  An
     # unmodulated near weight is one constant per offset, which goes into
-    # the table at +delta and -delta.
+    # the table at +delta and -delta, the positions of the first pair seen
+    # from either end.
     invariant = kernel.modulation is None
     depths = {}
     nmax = grid.n
     strides = nmax ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-    tstrides = (2 * nmax - 1) ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-    zero = (nmax - 1) * int(tstrides.sum())
     ivec = index[midx]
     for delta in near_offsets(dim):
         target = ivec + np.asarray(delta, dtype=np.int64)
@@ -572,8 +545,9 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> Discr
         wvals, depth = refined_pair_weights(kernel, centers, midx[rows_local], delta, h)
         depths[str(delta)] = depth
         if invariant:
-            at = zero + int(np.dot(delta, tstrides))
-            table[at] = table[2 * zero - at] = wvals[0]
+            ends = np.array([midx[rows_local[0]], tflat[0]])
+            at = table_positions(grid, ends, ends)
+            table[at[0, 1]] = table[at[1, 0]] = wvals[0]
         sel = rows_local[tmasked]
         cols = local[tflat[tmasked]]
         W[sel, cols] = wvals[tmasked]
@@ -599,9 +573,11 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> Discr
             "median killing term; enlarge the bounding box to reduce "
             "truncation bias", stacklevel=2)
 
-    weights = pack_upper(W)
+    if invariant:
+        pairs, symbol = table, circulant_symbol(table, nmax, dim)
+    else:
+        pairs, symbol = W, None
     del W
-    symbol = circulant_symbol(table, nmax, dim) if invariant else None
     diag = {
         "mode": "grid",
         "dimension": dim,
@@ -621,7 +597,7 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> Discr
         "tail_seconds": t_tail - t_near,
         "assembly_seconds": time.perf_counter() - t0,
     }
-    return DiscreteOperator(grid=grid, volumes=np.full(m, vol), weights=weights,
+    return DiscreteOperator(grid=grid, volumes=np.full(m, vol), pairs=pairs,
                             kappa=kappa, cdiag=cvals * vol,
                             tail_interval=np.stack([tail_lo, tail_hi], axis=1),
                             diagnostics=diag, symbol=symbol)
@@ -698,7 +674,7 @@ def assemble_radial(profile: RadialProfile, R: float, shells: int,
         "matvec": "dense",
         "assembly_seconds": time.perf_counter() - t0,
     }
-    return DiscreteOperator(grid=rgrid, volumes=vols, weights=pack_upper(W),
+    return DiscreteOperator(grid=rgrid, volumes=vols, pairs=W,
                             kappa=kappa, cdiag=c * vols,
                             tail_interval=np.stack([kappa, kappa], axis=1),
                             diagnostics=diag)
@@ -711,8 +687,9 @@ def write_operator_csv(op: DiscreteOperator, path) -> None:
         ids = op.grid.masked_indices
     else:
         ids = np.arange(op.size)
+    W = op.weight_matrix
     with open(path, "w", newline="") as fh:
         fh.write("i,j,w\n")
-        for start, stop, rows, cols in triu_blocks(op.size):
-            for a, b, w in zip(ids[rows], ids[cols], op.weights[start:stop]):
-                fh.write(f"{a},{b},{w:.17g}\n")
+        for i in range(op.size - 1):
+            for b, w in zip(ids[i + 1:], W[i, i + 1:]):
+                fh.write(f"{ids[i]},{b},{w:.17g}\n")

@@ -20,17 +20,19 @@ import time
 import numpy as np
 
 from levysym.assembly import AssemblyError, assemble
+from levysym.env import thread_setting
 from levysym.kernels import (IntegrabilityError, Kernel, KernelDomainError,
                              RadialProfile, make_modulation, rearrange_profile)
 from levysym.rearrange import (Grid, GridFunction, concentration_curve,
                                default_radii, read_gridfunction_csv,
                                schwarz_rearrangement, write_gridfunction_csv)
-from levysym.solvers import (SolverError, TimeGrid, parabolic_solve,
-                             solve_elliptic, to_grid_function)
+from levysym.solvers import (GAUSS_NODES, GAUSS_WEIGHTS, SolverError,
+                             TimeGrid, parabolic_solve, solve_elliptic,
+                             to_grid_function)
 from levysym.verify import (check_coarea, check_comparison,
                             check_energy_comparison, check_max_principle,
                             check_parabolic_comparison, check_polya_szego,
-                            config_hash, write_reports)
+                            config_hash, json_ready, write_reports)
 
 SCHEMA_VERSION = 1
 KERNEL_KINDS = ("exponential", "fractional", "logarithmic", "sum_of_powers",
@@ -528,28 +530,12 @@ def step_averages(factor, timegrid):
     if factor == "none":
         return np.ones(timegrid.steps)
     g = {"decay": lambda t: np.exp(-t), "ramp": lambda t: t}[factor]
-    nodes, weights = np.polynomial.legendre.leggauss(8)
     out = np.empty(timegrid.steps)
     for k in range(timegrid.steps):
         a, b = timegrid.times[k], timegrid.times[k + 1]
-        t = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-        out[k] = 0.5 * float(weights @ g(t))
+        t = 0.5 * (b - a) * GAUSS_NODES + 0.5 * (a + b)
+        out[k] = 0.5 * float(GAUSS_WEIGHTS @ g(t))
     return out
-
-
-def json_ready(obj):
-    """Recursively convert numpy scalars and arrays for json.dump."""
-    if isinstance(obj, dict):
-        return {str(k): json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [json_ready(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [json_ready(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
 
 
 def write_concentration_csv(path, u_fn, v_fn):
@@ -798,10 +784,10 @@ RUNTIME_ERRORS = (ScenarioError, AssemblyError, SolverError,
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    threads = os.environ.get("LEVYSYM_THREADS", "").strip()
-    if threads and (not threads.isdigit() or int(threads) < 1):
-        return structured_error(
-            ValueError("LEVYSYM_THREADS must be a positive integer"))
+    try:
+        thread_setting()
+    except ValueError as err:
+        return structured_error(err)
     try:
         if args.command == "rearrange":
             rearrange_csv(args.src, args.dst)

@@ -143,8 +143,9 @@ class Grid:
                     flat.reshape((self.n,) * self.dimension))
 
     def same_geometry(self, other: "Grid") -> bool:
+        """Same dimension and resolution, half-widths equal to 1e-12 relative."""
         return (self.dimension == other.dimension and self.n == other.n
-                and self.half_width == other.half_width)
+                and abs(self.half_width - other.half_width) <= 1e-12 * self.half_width)
 
     def snap_radius(self, r: float) -> int:
         """Snap a radius outward to a whole number of cell widths."""

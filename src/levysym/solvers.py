@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .assembly import DiscreteOperator, build_rhs, energy
+from .assembly import DiscreteOperator, build_rhs, energy, masked_vector
 from .rearrange import Grid, GridFunction, write_gridfunction_csv
 
 __all__ = [
@@ -101,15 +101,6 @@ class EllipticSolution:
     residual_history: tuple
 
 
-def as_dof_vector(op: DiscreteOperator, f) -> np.ndarray:
-    if isinstance(f, GridFunction):
-        return f.masked_values
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (op.size,):
-        raise ValueError("vector length does not match the operator")
-    return f
-
-
 def to_grid_function(op: DiscreteOperator, vec: np.ndarray) -> GridFunction | None:
     if not isinstance(op.grid, Grid):
         return None
@@ -123,7 +114,7 @@ def solve_elliptic(op: DiscreteOperator, f, tol: float = 1e-10,
     """Solve A u = b for the volume-weighted load of f."""
     if not (tol > 0):
         raise ValueError("tolerance must be positive")
-    b = build_rhs(op, as_dof_vector(op, f))
+    b = build_rhs(op, f)
     if max_iter is None:
         max_iter = 20 * op.size + 200
     x, iters, rel, history = pcg(op.system(), b, tol, max_iter)
@@ -141,7 +132,7 @@ def minimality_probe(op: DiscreteOperator, f, solution: EllipticSolution,
     The functional is 1/2 energy(u) - (b, u); at the discrete minimizer
     every probe of norm `scale` changes it by at least -1e-8.
     """
-    b = build_rhs(op, as_dof_vector(op, f))
+    b = build_rhs(op, f)
     u = solution.vector
     base = 0.5 * energy(op, u) - float(b @ u)
     rng = np.random.default_rng(seed)
@@ -226,7 +217,7 @@ def parabolic_solve(op_factory, f_n, u0, timegrid: TimeGrid,
     if steps < 1:
         raise ValueError("need at least one time step")
     dt = timegrid.dt
-    u = as_dof_vector(base, u0).copy()
+    u = masked_vector(base.grid, u0).copy()
     initial = u.copy()
     if isinstance(f_n, (GridFunction, np.ndarray)):
         f_list = [f_n] * steps
@@ -249,7 +240,7 @@ def parabolic_solve(op_factory, f_n, u0, timegrid: TimeGrid,
         opn = op_factory(n) if callable(op_factory) else op_factory
         shifted = (shifted_const if shifted_const is not None
                    else opn.system(opn.volumes / dt))
-        fvec = as_dof_vector(opn, f_list[n])
+        fvec = masked_vector(opn.grid, f_list[n])
         b = opn.volumes * (fvec + u / dt)
         try:
             u, it, rel, _ = pcg(shifted, b, tol, max_iter)

@@ -57,15 +57,16 @@ def tau(h: float, kappa_tol: float = DEFAULT_KAPPA_TOL) -> float:
     return max(1e-8, kappa_tol * h)
 
 
-def plain_json(obj):
-    """Strip numpy scalar types out of nested report payloads."""
+def json_ready(obj):
+    """Nested dicts, lists, tuples, arrays and numpy scalars as plain
+    Python values for json.dump."""
     if isinstance(obj, dict):
-        return {str(k): plain_json(v) for k, v in obj.items()}
+        return {str(k): json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        return [plain_json(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, (np.floating, np.bool_)):
+        return [json_ready(v) for v in obj]
+    if isinstance(obj, np.generic):
         return obj.item()
     return obj
 
@@ -95,7 +96,7 @@ class CheckReport:
             "slack": self.slack,
             "tolerance": self.tolerance,
             "pass": self.passed,
-            "worst_location": plain_json(self.worst_location),
+            "worst_location": json_ready(self.worst_location),
             "config_hash": config_digest,
         }
 
@@ -129,11 +130,6 @@ def base_metadata(grid) -> dict:
             "shells": int(grid.shells), "radius": grid.radius}
 
 
-def matching_geometry(a: Grid, b: Grid) -> bool:
-    return (a.dimension == b.dimension and a.n == b.n
-            and abs(a.half_width - b.half_width) <= 1e-12 * a.half_width)
-
-
 # --- concentration comparison -----------------------------------------------
 
 def concentration_slack(u: GridFunction, v: GridFunction, radii):
@@ -150,7 +146,7 @@ def check_comparison(u: GridFunction, v: GridFunction, radii=None,
                      name: str = "comparison") -> CheckReport:
     """Mass concentration of the rearranged solution never exceeds the
     symmetrized problem's solution: max_r of int_{B_r} u# - int_{B_r} v."""
-    if not matching_geometry(u.grid, v.grid):
+    if not u.grid.same_geometry(v.grid):
         raise ValueError("solutions live on different grid geometries")
     if u.grid.masked_count != v.grid.masked_count:
         raise ValueError("domains have different cell counts")
@@ -182,7 +178,7 @@ def check_parabolic_comparison(traj_u: Trajectory, traj_v: Trajectory,
         raise ValueError("trajectories use different time grids")
     gu, gv = traj_u.grid, traj_v.grid
     if not (isinstance(gu, Grid) and isinstance(gv, Grid)
-            and matching_geometry(gu, gv)
+            and gu.same_geometry(gv)
             and gu.masked_count == gv.masked_count):
         raise ValueError("trajectories live on different grid geometries")
     if radii is None:
@@ -216,7 +212,7 @@ def check_parabolic_comparison(traj_u: Trajectory, traj_v: Trajectory,
 
 def check_max_principle(op: DiscreteOperator, f, tol: float = 1e-12) -> CheckReport:
     """Nonpositive data force a nonpositive solution."""
-    fvec = masked_vector(op.grid, f) if isinstance(op.grid, Grid) else np.asarray(f)
+    fvec = masked_vector(op.grid, f)
     if fvec.size and fvec.max() > 0:
         raise ValueError("maximum principle check needs nonpositive data")
     sol = solve_elliptic(op, fvec, tol=tol)

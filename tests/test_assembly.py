@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from levysym.kernels import (
     surface_area,
     tail_primitive,
 )
+from levysym.env import thread_setting
 from levysym.rearrange import Grid, GridFunction
 
 # most fixtures keep the domain equal to the box, so the exterior tail is
@@ -203,22 +205,6 @@ class TestOffsetTable:
         want = prim(np.min(gaps / d[None, :, :], axis=2)).mean(axis=1) * 2.0 * math.pi
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
-    @pytest.mark.parametrize("m", [0, 1, 2, 7, 40])
-    @pytest.mark.parametrize("limit", [1, 5, 1000])
-    def test_triu_blocks_cover_triu_indices(self, m, limit):
-        iu, ju = np.triu_indices(m, k=1)
-        rows, cols, stop = [], [], 0
-        for start, end, r, c in assembly.triu_blocks(m, limit):
-            assert start == stop and end - start == r.size == c.size
-            assert r.size <= max(limit, m - 1 - r[0])
-            rows.append(r)
-            cols.append(c)
-            stop = end
-        assert stop == iu.size
-        if rows:
-            assert np.array_equal(np.concatenate(rows), iu)
-            assert np.array_equal(np.concatenate(cols), ju)
-
     def test_phase_seconds_in_diagnostics(self):
         op = assemble(frac_kernel(0.4, dim=2), two_piece_grid(2), None)
         d = op.diagnostics
@@ -288,6 +274,81 @@ class TestToeplitzSystem:
         rad = assemble_radial(RadialProfile.power(0.4, dimension=2), 1.0, 12, None, 2)
         assert rad.diagnostics["matvec"] == "dense"
         assert rad.system() is rad.matrix
+
+
+def pair_energy(op, u):
+    """Reference energy: w (u_i - u_j)^2 summed pair by pair over i < j
+    from the dense weights, plus the killing and lower-order terms."""
+    W = op.weight_matrix
+    total = float(np.dot(op.kappa + op.cdiag, u * u))
+    for i in range(u.size - 1):
+        d = u[i] - u[i + 1:]
+        total += float(np.dot(W[i, i + 1:], d * d))
+    return total
+
+
+def dense_arrays(op):
+    """Names of the arrays in vars(op) with at least m (m - 1) / 2 entries,
+    as many as the strict upper triangle of the weights."""
+    return [k for k, v in vars(op).items()
+            if isinstance(v, np.ndarray) and v.size >= op.size * (op.size - 1) // 2]
+
+
+class TestStoredPairs:
+    @pytest.fixture(scope="class")
+    def cases(self):
+        g2 = two_piece_grid(2)
+        c = GridFunction.from_callable(g2, lambda x, y: 1.0 + x * x + 0.5 * y)
+        return {
+            "table-2d": assemble(frac_kernel(0.4, dim=2), g2, c),
+            "separable_cosine": assemble(modulated_kernel("separable_cosine", 2), g2, c),
+            "rough_cosine": assemble(modulated_kernel("rough_cosine", 2), g2, None),
+            "radial": assemble_radial(RadialProfile.power(0.4, dimension=2), 1.0, 24,
+                                      np.linspace(0.0, 1.0, 24), 2),
+        }
+
+    @pytest.mark.parametrize("name", ["table-2d", "separable_cosine",
+                                      "rough_cosine", "radial"])
+    def test_energy_matches_pair_sum(self, cases, name):
+        op = cases[name]
+        assert (op.symbol is not None) == (name == "table-2d")
+        rng = np.random.default_rng(11)
+        for u in (rng.normal(size=op.size), rng.uniform(0.0, 1.0, op.size)):
+            assert energy(op, u) == pytest.approx(pair_energy(op, u), rel=1e-12)
+
+    def test_table_operator_holds_no_dense_array(self):
+        g = two_piece_grid(2)
+        op = assemble(frac_kernel(0.4, dim=2), g, None)
+        assert op.pairs.shape == ((2 * g.n - 1) ** 2,)
+        assert dense_arrays(op) == []
+        energy(op, np.random.default_rng(3).normal(size=op.size))
+        assert "weight_matrix" not in vars(op)
+        assert dense_arrays(op) == []
+        # the dense weights are gathered on request and cached by name
+        W = op.weight_matrix
+        assert dense_arrays(op) == ["weight_matrix"]
+        assert op.weight_matrix is W
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_gathered_weights_match_far_field(self, dim, monkeypatch):
+        g = two_piece_grid(dim)
+        k = frac_kernel(0.4, dim=dim)
+        W, _ = assembly.far_field(k, g)
+        op = assemble(k, g, None)
+        # small row blocks so the gather crosses several block boundaries
+        monkeypatch.setattr(assembly, "ROW_BLOCK", 1000)
+        gathered = op.weight_matrix
+        idx = g.index_array[g.masked_indices]
+        band = np.max(np.abs(idx[:, None, :] - idx[None, :, :]), axis=2) <= 2
+        assert np.array_equal(gathered[~band], W[~band])
+        assert np.array_equal(gathered, gathered.T)
+        assert not np.any(np.diag(gathered))
+        assert np.all(gathered[band & ~np.eye(op.size, dtype=bool)] > 0)
+
+    def test_dense_pairs_must_be_square(self, cases):
+        op = cases["rough_cosine"]
+        with pytest.raises(ValueError, match="m x m"):
+            replace(op, pairs=op.pairs[:-1])
 
 
 class TestRowSums:
@@ -481,6 +542,22 @@ class TestKilling:
 
 
 class TestRhs:
+    def test_radial_vectors_and_mask_checks(self):
+        rad = assemble_radial(RadialProfile.power(0.4, dimension=1), 1.0, 8, None, 1)
+        f = np.linspace(0.0, 1.0, 8)
+        np.testing.assert_array_equal(build_rhs(rad, f), rad.volumes * f)
+        with pytest.raises(ValueError, match="length"):
+            build_rhs(rad, np.ones(7))
+        g = Grid.full_box(1, 1.0, 16)
+        with pytest.raises(ValueError, match="mask"):
+            build_rhs(rad, GridFunction.constant(g, 1.0))
+        op = assemble(frac_kernel(0.3), g, None)
+        half = Grid(1, 1.0, 16, np.arange(16) < 8)
+        with pytest.raises(ValueError, match="mask"):
+            energy(op, GridFunction.constant(half, 1.0))
+        with pytest.raises(ValueError, match="length"):
+            energy(op, np.ones(op.size + 1))
+
     def test_volume_weighting(self):
         g = Grid.full_box(1, 1.0, 16)
         op = assemble(frac_kernel(0.3), g, None)
@@ -580,3 +657,20 @@ class TestThreads:
         monkeypatch.setenv("LEVYSYM_THREADS", "zero")
         with pytest.raises(ValueError):
             assemble(frac_kernel(0.3), g, None)
+
+    @pytest.mark.parametrize("raw", ["", "   "])
+    def test_blank_thread_value_means_unset(self, monkeypatch, raw):
+        monkeypatch.setenv("LEVYSYM_THREADS", raw)
+        op = assemble(frac_kernel(0.3), Grid.full_box(1, 1.0, 16), None)
+        assert op.diagnostics["threads"] == 1
+
+    @pytest.mark.parametrize("raw, want", [(" 3 ", 3), ("04", 4), ("1", 1)])
+    def test_thread_setting_values(self, monkeypatch, raw, want):
+        monkeypatch.setenv("LEVYSYM_THREADS", raw)
+        assert thread_setting() == want
+
+    @pytest.mark.parametrize("raw", ["0", "-2", "+2", "2.0", "\u00b2", "four"])
+    def test_thread_setting_rejects(self, monkeypatch, raw):
+        monkeypatch.setenv("LEVYSYM_THREADS", raw)
+        with pytest.raises(ValueError, match="LEVYSYM_THREADS"):
+            thread_setting()

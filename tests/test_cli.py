@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from levysym.cli import (ConfigError, ScenarioError, main, parse_config,
-                         refine_sweep, run_scenario)
+                         refine_sweep, run_scenario, step_averages)
 from levysym.rearrange import (Grid, GridFunction, read_gridfunction_csv,
                                write_gridfunction_csv)
+from levysym.solvers import TimeGrid
 
 pytestmark = pytest.mark.filterwarnings("ignore:box margin too small")
 
@@ -371,3 +372,21 @@ class TestMainEntry:
         assert main(["sweep", str(path), "--levels", "2"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["levels"]) == 2
+
+    @pytest.mark.parametrize("raw, code", [("", 0), ("  ", 0), ("2", 0),
+                                           ("0", 1), ("two", 1)])
+    def test_thread_setting_exit_codes(self, tmp_path, capsys, monkeypatch,
+                                       raw, code):
+        monkeypatch.setenv("LEVYSYM_THREADS", raw)
+        assert main(["verify", str(write_config(tmp_path, n=32))]) == code
+        payload = json.loads(capsys.readouterr().out)
+        assert ("error" in payload) == (code == 1)
+
+
+def test_step_averages_integrate_the_time_factor():
+    tg = TimeGrid(horizon=1.5, steps=6)
+    a, b = tg.times[:-1], tg.times[1:]
+    np.testing.assert_allclose(step_averages("decay", tg),
+                               (np.exp(-a) - np.exp(-b)) / tg.dt, rtol=1e-14)
+    np.testing.assert_allclose(step_averages("ramp", tg), 0.5 * (a + b), rtol=1e-14)
+    assert np.array_equal(step_averages("none", tg), np.ones(6))

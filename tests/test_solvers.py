@@ -507,3 +507,14 @@ def test_elliptic_fft_solve_skips_dense_matrix(index):
     x, it, _, _ = pcg(op.matrix, build_rhs(op, f), 1e-10, 10_000)
     assert sol.iterations == it
     assert np.max(np.abs(sol.vector - x)) <= 1e-12 * np.max(np.abs(x))
+
+
+def test_load_on_another_mask_is_rejected():
+    g = Grid(1, 1.0, 16, np.ones(16, dtype=bool))
+    op = assemble(Kernel(profile=RadialProfile.power(0.3, dimension=1)), g, None)
+    half = Grid(1, 1.0, 16, np.arange(16) < 8)
+    with pytest.raises(ValueError, match="mask"):
+        solve_elliptic(op, GridFunction.constant(half, 1.0))
+    with pytest.raises(ValueError, match="mask"):
+        parabolic_solve(op, GridFunction.constant(g, 1.0),
+                        GridFunction.constant(half, 1.0), TimeGrid(1.0, 2))

@@ -16,7 +16,8 @@ from levysym import verify
 from levysym.assembly import assemble, build_rhs
 from levysym.kernels import (IntegrabilityError, Kernel, RadialProfile,
                              make_modulation)
-from levysym.rearrange import Grid, GridFunction, schwarz_rearrangement
+from levysym.rearrange import (Grid, GridFunction, concentration_dominates,
+                               schwarz_rearrangement)
 from levysym.solvers import TimeGrid, parabolic_solve, solve_elliptic
 from levysym.verify import (CheckReport, check_coarea, check_comparison,
                             check_energy_comparison, check_lens_geometry,
@@ -78,6 +79,17 @@ class TestCheckReport:
         assert lines[0] == {"check": "a", "slack": 0.25, "tolerance": 1e-3,
                             "pass": False, "worst_location": {"r": 0.5},
                             "config_hash": digest}
+
+    def test_json_ready_plain_values(self):
+        obj = {1: np.bool_(True), "a": (np.int64(3), np.float32(0.5)),
+               "b": np.arange(4.0).reshape(2, 2), "c": [np.uint8(7), None, "s"],
+               "d": np.array(2.5)}
+        got = verify.json_ready(obj)
+        assert got == {"1": True, "a": [3, 0.5], "b": [[0.0, 1.0], [2.0, 3.0]],
+                       "c": [7, None, "s"], "d": 2.5}
+        assert [type(v) for v in (got["1"], got["a"][0], got["a"][1], got["c"][0])] \
+            == [bool, int, float, int]
+        json.dumps(got)
 
     def test_config_hash_stable(self):
         a = config_hash({"x": 1, "y": [1, 2]})
@@ -143,6 +155,20 @@ class TestComparison:
         r1 = check_comparison(u.function, v1.function)
         r2 = check_comparison(u.function, v2.function)
         assert r2.slack < r1.slack
+
+    def test_half_width_rounding_is_the_same_geometry(self):
+        g1 = interval_domain(32, [(-1.0, 0.0)])
+        g2 = interval_domain(32, [(-1.0, 0.0)], half_width=1.0 + 1e-14)
+        u = schwarz_rearrangement(GridFunction.constant(g1, 1.0))
+        v = schwarz_rearrangement(GridFunction.constant(g2, 1.0))
+        assert abs(check_comparison(u, v).slack) <= 1e-12
+        assert abs(concentration_dominates(u, v).max_violation) <= 1e-12
+        far = GridFunction.constant(
+            interval_domain(32, [(-1.0, 0.0)], half_width=1.0 + 1e-10), 1.0)
+        with pytest.raises(ValueError):
+            check_comparison(u, far)
+        with pytest.raises(ValueError):
+            concentration_dominates(u, far)
 
     def test_mismatched_grids_rejected(self):
         g1 = interval_domain(32, [(-1.0, 0.0)])
@@ -313,6 +339,17 @@ class TestPolyaSzego:
         rep = check_polya_szego(op_u, op_v, u)
         assert rep.passed
         assert rep.slack < 0.0
+
+    def test_energy_checks_keep_table_operators_sparse(self):
+        grid, op_u, op_v = self.setup_pair()
+        u = random_gridfunction(grid, np.random.default_rng(9))
+        check_polya_szego(op_u, op_v, u)
+        check_energy_comparison(op_u, u, op_v, schwarz_rearrangement(u))
+        for op in (op_u, op_v):
+            assert op.symbol is not None
+            assert "weight_matrix" not in vars(op)
+            assert all(v.size < op.size * (op.size - 1) // 2
+                       for v in vars(op).values() if isinstance(v, np.ndarray))
 
     def test_negative_data_rejected(self):
         grid, op_u, op_v = self.setup_pair(32)
