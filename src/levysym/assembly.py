@@ -12,22 +12,22 @@ change drops below 1e-6.  The self pair never enters because a piecewise
 constant has no variation inside a cell.
 
 On the uniform grid the envelope part of a far weight, J(h |i - j|),
-depends on the index offset i - j only.  The far field therefore
-evaluates the profile once on the (2n - 1)^N integer offsets of the box
-(zero at Chebyshev distance <= 2) and fills the weights by row-blocked
-gathers from that table; a modulation a(x_i, x_j) multiplies the gathered
-values on the same pairs.  No thread pool is involved.
+depends on the index offset i - j only, so the profile is evaluated once
+on the (2n - 1)^N integer offsets of the box (zero at Chebyshev distance
+<= 2).  Without modulation the near weight depends on the offset too, so
+every weight is T[p_i - p_j] for one table T: the far table times the
+squared volume, with one near constant per offset written in.  Such an
+operator stores T and the Fourier symbol of its (2n)^N circulant
+embedding.  W x, the killing toward unmasked box cells and the linear
+system (a ToeplitzSystem) are FFT products, and rows of W are gathered
+from T on request, so no m x m array is built.
 
-Without modulation the near weight of a pair depends on its offset too,
-so every weight is T[p_i - p_j] for one table T: the far table with the
-near constants written in.  Such an operator stores T and the Fourier
-symbol of its (2n)^N circulant embedding, and its linear system is a
-ToeplitzSystem that applies W by FFT.  Modulated and radial operators
-store the dense symmetric m x m W instead, and their system is the dense
-`matrix`.  Either way the pair weights are stored once; the energy is one
-product with the system.  The dense `weight_matrix` of a table operator
-and the `matrix` of every operator are built only when something asks
-for them.
+A modulation a(x_i, x_j) multiplies the gathered far values pair by pair
+and enters the near quadrature row by row, so modulated and radial
+operators store the dense symmetric m x m W, and their system is the
+dense `matrix`.  Outside DiscreteOperator, W is read only through
+pair_rows (rows of W) and weights_times (W x); weight_matrix and matrix
+are explicit materialisations for small m.
 
 Killing collects everything the masked cell sees outside the domain: the
 same pairwise weights toward unmasked in-box cells, plus the analytic
@@ -40,6 +40,7 @@ under which both the box and the midpoint angle rule are invariant.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 import warnings
@@ -135,8 +136,9 @@ class DiscreteOperator:
     ToeplitzSystem) and pairs the offset table T over the (2n - 1)^N
     offsets of the box, W_ij = T[zero + p_i - p_j] (see table_positions).
     Otherwise symbol is None and pairs is the dense symmetric m x m W.
-    kappa and cdiag are the killing and lower-order diagonals, already
-    volume-weighted.
+    pair_rows and weights_times read W in either form without building
+    an m x m array.  kappa and cdiag are the killing and lower-order
+    diagonals, already volume-weighted.
     """
 
     grid: object
@@ -162,14 +164,32 @@ class DiscreteOperator:
     def size(self) -> int:
         return self.volumes.size
 
+    def pair_rows(self, rows) -> np.ndarray:
+        """W[rows] for a slice or index array of masked cells: a slice of
+        the dense W, or gathered from the offset table."""
+        if self.symbol is None:
+            return self.pairs[rows]
+        midx = self.grid.masked_indices
+        return self.pairs[table_positions(self.grid, midx[rows], midx)]
+
+    def weights_times(self, x: np.ndarray) -> np.ndarray:
+        """W x: a dense product, or one FFT product through the symbol."""
+        if self.symbol is None:
+            return self.pairs @ x
+        return ToeplitzSystem(self.symbol, self.grid).weights_times(x)
+
     @property
     def weight_matrix(self) -> np.ndarray:
-        """The dense m x m W: the stored one, or gathered from the offset
-        table on first use and cached under this name."""
+        """The dense m x m W: the stored one, or for a table operator
+        gathered in row blocks on first use and cached under this name."""
         if self.symbol is None:
             return self.pairs
         if "weight_matrix" not in self.__dict__:
-            self.__dict__["weight_matrix"] = table_matrix(self.pairs, self.grid)
+            W = np.empty((self.size, self.size))
+            step = max(1, ROW_BLOCK // self.size)
+            for lo in range(0, self.size, step):
+                W[lo:lo + step] = self.pair_rows(slice(lo, lo + step))
+            self.__dict__["weight_matrix"] = W
         return self.__dict__["weight_matrix"]
 
     @property
@@ -186,10 +206,10 @@ class DiscreteOperator:
 
     @cached_property
     def degree(self) -> np.ndarray:
-        """Row sums of the weight matrix."""
+        """Row sums of W."""
         if self.symbol is None:
-            return self.weight_matrix.sum(axis=1)
-        return ToeplitzSystem(self.symbol, self.grid).weights_times(np.ones(self.size))
+            return self.pairs.sum(axis=1)
+        return self.weights_times(np.ones(self.size))
 
     def system(self, mass: np.ndarray | None = None):
         """The matrix A + diag(mass) in the form pcg takes: a ToeplitzSystem
@@ -225,20 +245,24 @@ class ToeplitzSystem:
 
     def __init__(self, symbol: np.ndarray, grid: Grid, diag: np.ndarray | None = None):
         n, dim = grid.n, grid.dimension
-        strides = (2 * n) ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+        self.strides = (2 * n) ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+        self.index = grid.index_array
         self.symbol = symbol
         self.box = (2 * n,) * dim
         self.axes = tuple(range(dim))
-        self.cells = grid.index_array[grid.masked_indices] @ strides
+        self.cells = self.index[grid.masked_indices] @ self.strides
         self.diag = diag
         self.shape = (self.cells.size, self.cells.size)
 
     def diagonal(self) -> np.ndarray:
         return self.diag
 
-    def weights_times(self, x: np.ndarray) -> np.ndarray:
+    def weights_times(self, x, sources: np.ndarray | None = None) -> np.ndarray:
+        """W x on the masked cells; with sources (flat box cell ids) x sits on
+        those cells instead: the weights toward them times x."""
         box = np.zeros(self.box)
-        box.reshape(-1)[self.cells] = x
+        at = self.cells if sources is None else self.index[sources] @ self.strides
+        box.reshape(-1)[at] = x
         y = np.fft.irfftn(self.symbol * np.fft.rfftn(box, axes=self.axes),
                           s=self.box, axes=self.axes)
         return y.reshape(-1)[self.cells]
@@ -267,17 +291,6 @@ def table_positions(grid: Grid, rows, cols) -> np.ndarray:
     zero = (n - 1) * int(strides.sum())
     index = grid.index_array
     return (zero + index[rows] @ strides)[:, None] - (index[cols] @ strides)[None, :]
-
-
-def table_matrix(table: np.ndarray, grid: Grid) -> np.ndarray:
-    """Dense weights table[zero + p_i - p_j] over the masked cells, gathered
-    in row blocks."""
-    midx = grid.masked_indices
-    W = np.empty((midx.size, midx.size))
-    step = max(1, ROW_BLOCK // max(midx.size, 1))
-    for lo in range(0, midx.size, step):
-        W[lo:lo + step] = table[table_positions(grid, midx[lo:lo + step], midx)]
-    return W
 
 
 def masked_vector(grid, f) -> np.ndarray:
@@ -319,17 +332,9 @@ def subcell_offsets(h: float, m: int, dim: int) -> np.ndarray:
 
 
 def near_offsets(dim: int) -> list:
-    """Integer offsets with Chebyshev norm 1 or 2, lexicographically positive
-    representatives first (delta > 0 in lex order), then their negatives."""
-    out = []
-    rng = range(-2, 3)
-    if dim == 1:
-        cells = [(d,) for d in rng if d != 0]
-    else:
-        cells = [(a, b) for a in rng for b in rng if (a, b) != (0, 0)]
-    for d in cells:
-        out.append(d)
-    return out
+    """Nonzero integer offsets with Chebyshev norm at most 2, in
+    lexicographic order."""
+    return [d for d in itertools.product(range(-2, 3), repeat=dim) if any(d)]
 
 
 def lex_positive(delta: tuple) -> bool:
@@ -446,22 +451,17 @@ def far_offset_table(kernel: Kernel, grid: Grid) -> tuple:
     return table, far
 
 
-def far_field(kernel: Kernel, grid: Grid, offsets: tuple | None = None) -> tuple:
+def far_field(kernel: Kernel, grid: Grid) -> tuple:
     """Midpoint rule against every box cell at Chebyshev index distance > 2:
     (W, kappa) with the masked targets in the masked-cell matrix W and the
     unmasked ones summed per row into kappa.
 
     The weight of cells i, j is table[zero + p_i - p_j] (see
     table_positions), times a(x_i, x_j) on modulated kernels and the squared
-    volume.  offsets is far_offset_table(kernel, grid) when the caller
-    already has it; without modulation its table is scaled in place to the
-    far weights.
+    volume.
     """
-    table, far = far_offset_table(kernel, grid) if offsets is None else offsets
+    table, far = far_offset_table(kernel, grid)
     scale = grid.cell_volume ** 2
-    modulated = kernel.modulation is not None
-    if not modulated:
-        table *= scale
     points = grid.centers[:, 0] if grid.dimension == 1 else grid.centers
     midx = grid.masked_indices
     outside = np.flatnonzero(~grid.mask_flat)
@@ -469,10 +469,9 @@ def far_field(kernel: Kernel, grid: Grid, offsets: tuple | None = None) -> tuple
     def block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         at = table_positions(grid, rows, cols)
         k = table[at]
-        if modulated:
-            ri, ci = np.nonzero(far[at])
-            k[ri, ci] *= modulation_factor(kernel, points[rows[ri]], points[cols[ci]])
-            k *= scale
+        ri, ci = np.nonzero(far[at])
+        k[ri, ci] *= modulation_factor(kernel, points[rows[ri]], points[cols[ci]])
+        k *= scale
         return k
 
     W = np.zeros((midx.size, midx.size))
@@ -484,6 +483,34 @@ def far_field(kernel: Kernel, grid: Grid, offsets: tuple | None = None) -> tuple
         if outside.size:
             kappa[lo:lo + step] = block(rows, outside).sum(axis=1)
     return W, kappa
+
+
+def near_field(kernel: Kernel, grid: Grid, W: np.ndarray, kappa: np.ndarray) -> dict:
+    """Refined near weights into W toward masked cells, from the lex-positive
+    side, and into kappa toward unmasked ones; returns the depth per offset."""
+    midx = grid.masked_indices
+    # masked-local position of each flat cell, -1 when unmasked
+    local = np.full(grid.cell_count, -1, dtype=np.int64)
+    local[midx] = np.arange(midx.size)
+    strides = grid.n ** np.arange(grid.dimension - 1, -1, -1, dtype=np.int64)
+    ivec = grid.index_array[midx]
+    depths = {}
+    for delta in near_offsets(grid.dimension):
+        target = ivec + np.asarray(delta, dtype=np.int64)
+        rows = np.flatnonzero(np.all((target >= 0) & (target < grid.n), axis=1))
+        tflat = target[rows] @ strides
+        tmasked = grid.mask_flat[tflat]
+        if not lex_positive(delta):
+            rows, tflat, tmasked = rows[~tmasked], tflat[~tmasked], tmasked[~tmasked]
+        if rows.size == 0:
+            continue
+        wvals, depths[str(delta)] = refined_pair_weights(
+            kernel, grid.centers, midx[rows], delta, grid.h)
+        sel, cols = rows[tmasked], local[tflat[tmasked]]
+        W[sel, cols] = wvals[tmasked]
+        W[cols, sel] = wvals[tmasked]
+        kappa[rows[~tmasked]] += wvals[~tmasked]
+    return depths
 
 
 def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> DiscreteOperator:
@@ -499,60 +526,30 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> Discr
 
     t0 = time.perf_counter()
     workers = thread_count()
-    dim = grid.dimension
-    h = grid.h
-    vol = grid.cell_volume
-    centers = grid.centers
-    index = grid.index_array
-    maskf = grid.mask_flat
-    midx = grid.masked_indices
-    m = midx.size
-    # masked-local position of each flat cell, -1 when unmasked
-    local = np.full(grid.cell_count, -1, dtype=np.int64)
-    local[midx] = np.arange(m)
-
-    table, far = far_offset_table(kernel, grid)
-    W, kappa = far_field(kernel, grid, (table, far))
-    t_far = time.perf_counter()
-
-    # near field: refined symmetric quadrature per index offset; masked
-    # pairs are handled once from the lex-positive side, masked-to-unmasked
-    # visits are unique as ordered pairs and feed the killing term.  An
-    # unmodulated near weight is one constant per offset, which goes into
-    # the table at +delta and -delta, the positions of the first pair seen
-    # from either end.
-    invariant = kernel.modulation is None
-    depths = {}
-    nmax = grid.n
-    strides = nmax ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-    ivec = index[midx]
-    for delta in near_offsets(dim):
-        target = ivec + np.asarray(delta, dtype=np.int64)
-        inside = np.all((target >= 0) & (target < nmax), axis=1)
-        rows_local = np.flatnonzero(inside)
-        if rows_local.size == 0:
-            continue
-        tflat = target[rows_local] @ strides
-        tmasked = maskf[tflat]
-        if not lex_positive(delta):
-            rows_local = rows_local[~tmasked]
-            if rows_local.size == 0:
-                continue
-            wvals, depth = refined_pair_weights(kernel, centers, midx[rows_local], delta, h)
-            depths[str(delta)] = depth
-            kappa[rows_local] += wvals
-            continue
-        wvals, depth = refined_pair_weights(kernel, centers, midx[rows_local], delta, h)
-        depths[str(delta)] = depth
-        if invariant:
-            ends = np.array([midx[rows_local[0]], tflat[0]])
-            at = table_positions(grid, ends, ends)
-            table[at[0, 1]] = table[at[1, 0]] = wvals[0]
-        sel = rows_local[tmasked]
-        cols = local[tflat[tmasked]]
-        W[sel, cols] = wvals[tmasked]
-        W[cols, sel] = wvals[tmasked]
-        kappa[rows_local[~tmasked]] += wvals[~tmasked]
+    dim, n, vol, m = grid.dimension, grid.n, grid.cell_volume, grid.masked_count
+    if kernel.modulation is None:
+        pairs = far_offset_table(kernel, grid)[0] * vol ** 2
+        t_far = time.perf_counter()
+        # one near constant per lex-positive offset that fits in the table,
+        # written at +delta and -delta; the source cell is immaterial
+        table = pairs.reshape((2 * n - 1,) * dim)
+        depths = {}
+        for delta in near_offsets(dim):
+            if lex_positive(delta) and max(map(abs, delta)) < n:
+                wvals, depths[str(delta)] = refined_pair_weights(
+                    kernel, grid.centers, np.zeros(1, dtype=np.int64), delta, grid.h)
+                d = np.asarray(delta)
+                table[tuple(n - 1 + d)] = table[tuple(n - 1 - d)] = wvals[0]
+        symbol = circulant_symbol(pairs, n, dim)
+        # killing toward the unmasked box cells: one FFT product with their
+        # indicator, clipped since rounding may take a zero sum below zero
+        kappa = np.maximum(ToeplitzSystem(symbol, grid).weights_times(
+            1.0, np.flatnonzero(~grid.mask_flat)), 0.0)
+    else:  # the far field and the per-row near field of a modulated kernel
+        pairs, kappa = far_field(kernel, grid)
+        t_far = time.perf_counter()
+        depths = near_field(kernel, grid, pairs, kappa)
+        symbol = None
     t_near = time.perf_counter()
 
     # analytic tail beyond the box, bracketed by the modulation band
@@ -566,28 +563,24 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> Discr
 
     med_kappa = float(np.median(kappa))
     med_tail = float(np.median(tail_mid))
-    margin_ok = med_tail <= 1e-3 * med_kappa
+    med_width = float(np.median(tail_hi - tail_lo))
+    margin_ok = med_width <= 1e-3 * med_kappa
     if not margin_ok:
         warnings.warn(
-            "box margin too small: median exterior tail exceeds 1e-3 of the "
-            "median killing term; enlarge the bounding box to reduce "
-            "truncation bias", stacklevel=2)
+            "box margin too small: the median width of the exterior tail "
+            "interval exceeds 1e-3 of the median killing term; enlarge the "
+            "bounding box to narrow the truncation uncertainty", stacklevel=2)
 
-    if invariant:
-        pairs, symbol = table, circulant_symbol(table, nmax, dim)
-    else:
-        pairs, symbol = W, None
-    del W
     diag = {
         "mode": "grid",
         "dimension": dim,
-        "n": grid.n,
+        "n": n,
         "half_width": grid.half_width,
         "masked_cells": int(m),
         "threads": workers,
         "near_refinement_depths": depths,
-        "tail_interval_width_max": float(np.max(tail_hi - tail_lo)) if m else 0.0,
-        "tail_interval_width_median": float(np.median(tail_hi - tail_lo)) if m else 0.0,
+        "tail_interval_width_max": float(np.max(tail_hi - tail_lo)),
+        "tail_interval_width_median": med_width,
         "tail_to_kappa_median_ratio": med_tail / med_kappa if med_kappa > 0 else math.inf,
         "kappa_inbox_median": kappa_inbox_median,
         "box_margin_ok": bool(margin_ok),

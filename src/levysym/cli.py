@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from levysym.assembly import AssemblyError, assemble
+from levysym.assembly import NEAR_BLOCK, ROW_BLOCK, AssemblyError, assemble
 from levysym.env import thread_setting
 from levysym.kernels import (IntegrabilityError, Kernel, KernelDomainError,
                              RadialProfile, make_modulation, rearrange_profile)
@@ -29,7 +29,7 @@ from levysym.rearrange import (Grid, GridFunction, concentration_curve,
 from levysym.solvers import (GAUSS_NODES, GAUSS_WEIGHTS, SolverError,
                              TimeGrid, parabolic_solve, solve_elliptic,
                              to_grid_function)
-from levysym.verify import (check_coarea, check_comparison,
+from levysym.verify import (CUT_BLOCK, check_coarea, check_comparison,
                             check_energy_comparison, check_max_principle,
                             check_parabolic_comparison, check_polya_szego,
                             config_hash, json_ready, write_reports)
@@ -683,12 +683,22 @@ def run_scenario(cfg, mode):
 
 
 def estimate_bytes(cfg):
-    """Dense-weight memory for one level, counted before anything big is
-    allocated: the pair matrix, its cached assembled copy, and slack for
-    assembly temporaries."""
+    """Peak array bytes of one level, from the representation assemble picks
+    and counted before anything big is allocated: (2n)^N box arrays, coarea
+    blocks of CUT_BLOCK rows of W and, in 2-D, tail blocks of ROW_BLOCK rays;
+    a modulated operator adds m x m pairs, matrix and one transient copy and
+    its NEAR_BLOCK near-field temporaries, a parabolic run its per-step loads
+    and states.  Fixed I/O overhead (under 1 MB) is not counted."""
     grid = scenario_grid(cfg)
-    m = grid.masked_count
-    return 3 * 8 * m * m
+    m, dim = grid.masked_count, grid.dimension
+    floats = 8 * (2 * grid.n) ** dim + 4 * min(m, CUT_BLOCK) * m
+    if dim == 2:
+        floats += 10 * ROW_BLOCK
+    if cfg.kernel["modulation"] != "none":
+        floats += 3 * m * m + (2 * dim + 5) * NEAR_BLOCK
+    if cfg.time is not None:
+        floats += 8 * cfg.time["steps"] * grid.cell_count
+    return 8 * floats
 
 
 def refine_sweep(cfg, levels, mode="elliptic"):

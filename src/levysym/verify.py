@@ -48,7 +48,8 @@ __all__ = [
 
 DEFAULT_KAPPA_TOL = 0.05
 STRICT_TOL = float(np.finfo(np.float64).tiny)
-# rows of the weight matrix per block of the coarea sums
+# rows of W per block of the coarea sums: each block holds a few
+# CUT_BLOCK x m arrays, gathered from the offset table of a table operator
 CUT_BLOCK = 256
 
 
@@ -339,9 +340,7 @@ def truncate(u: GridFunction, level: float, height: float) -> GridFunction:
 
 
 def perimeter_of(op: DiscreteOperator, inside: np.ndarray) -> float:
-    Wm = op.weight_matrix
-    outside = ~inside
-    return float(inside @ Wm @ outside + op.kappa @ inside)
+    return float(inside @ op.weights_times(~inside) + op.kappa @ inside)
 
 
 def prefix_cuts(op: DiscreteOperator, vals: np.ndarray) -> np.ndarray:
@@ -349,9 +348,8 @@ def prefix_cuts(op: DiscreteOperator, vals: np.ndarray) -> np.ndarray:
 
     Entry k is perimeter_of the first k cells in that order, accumulated as
     cut(S + {k}) = cut(S) + deg(k) + kappa_k - 2 W[k, S] over row blocks of
-    the weight matrix, so every super-level set costs one lookup.
+    W, so every super-level set costs one lookup.
     """
-    Wm = op.weight_matrix
     m = vals.size
     order = np.argsort(-vals, kind="stable")
     rank = np.empty(m, dtype=np.int64)
@@ -359,7 +357,7 @@ def prefix_cuts(op: DiscreteOperator, vals: np.ndarray) -> np.ndarray:
     step = np.empty(m)
     for lo in range(0, m, CUT_BLOCK):
         sel = order[lo:lo + CUT_BLOCK]
-        rows = Wm[sel]
+        rows = op.pair_rows(sel)
         earlier = rows @ (rank < lo).astype(np.float64)
         within = np.tril(rows[:, sel], -1).sum(axis=1)
         step[lo:lo + CUT_BLOCK] = (rows.sum(axis=1) + op.kappa[sel]
@@ -380,11 +378,11 @@ def check_coarea(op: DiscreteOperator, u: GridFunction, mode: str = "plain",
         vals = np.minimum(height, np.maximum(0.0, vals - level))
     elif mode != "plain":
         raise ValueError("mode must be 'plain' or 'truncated'")
-    Wm = op.weight_matrix
     pairs = 0.0
     for lo in range(0, vals.size, CUT_BLOCK):
-        diff = np.abs(vals[lo:lo + CUT_BLOCK, None] - vals[None, :])
-        pairs += float(np.sum(Wm[lo:lo + CUT_BLOCK] * diff))
+        block = slice(lo, lo + CUT_BLOCK)
+        pairs += float(np.sum(op.pair_rows(block)
+                              * np.abs(vals[block, None] - vals[None, :])))
     lhs = 0.5 * pairs + float(op.kappa @ vals)
     levels = np.unique(np.concatenate(([0.0], vals)))
     rhs = 0.0
@@ -422,7 +420,6 @@ def check_level_set_inequality(op: DiscreteOperator, u_sharp: GridFunction,
     levels = np.asarray(levels, dtype=np.float64)
     if levels.size and levels.min() <= 0:
         raise ValueError("levels must be positive")
-    Wm = op.weight_matrix
     vol = grid.cell_volume
     tol = tau(grid.h, kappa_tol)
     reports = []
@@ -432,7 +429,7 @@ def check_level_set_inequality(op: DiscreteOperator, u_sharp: GridFunction,
         inside[order[:m]] = True
         outside = ~inside
         ui, uo = np.where(inside, uvec, 0.0), np.where(outside, uvec, 0.0)
-        flux = float(ui @ Wm @ outside - inside @ Wm @ uo)
+        flux = float(ui @ op.weights_times(outside) - inside @ op.weights_times(uo))
         lhs = flux + float(op.kappa @ ui) + vol * float(cvec @ (uvec * inside))
         rhs = vol * float(fvec @ inside)
         slack = lhs - rhs

@@ -23,8 +23,6 @@ from levysym.verify import (check_comparison, check_energy_comparison,
                             check_parabolic_comparison, check_phi_monotonicity,
                             check_polya_szego, check_riesz, tau)
 
-pytestmark = pytest.mark.filterwarnings("ignore:box margin too small")
-
 
 def box_grid(n, dim=1, mask=None):
     if mask is None:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -25,10 +26,6 @@ from levysym.kernels import (
 )
 from levysym.env import thread_setting
 from levysym.rearrange import Grid, GridFunction
-
-# most fixtures keep the domain equal to the box, so the exterior tail is
-# the whole killing term and the box-margin warning is expected noise
-pytestmark = pytest.mark.filterwarnings("ignore:box margin too small")
 
 
 def frac_kernel(s, dim=1, gamma=1.0):
@@ -351,6 +348,61 @@ class TestStoredPairs:
             replace(op, pairs=op.pairs[:-1])
 
 
+def direct_kappa(kernel, grid):
+    """Reference kappa: direct_far_field toward unmasked cells plus the
+    refined near weight of every masked cell toward each unmasked box cell
+    at Chebyshev distance 1 or 2, pair by pair, plus the tail midpoint."""
+    _, kappa = direct_far_field(kernel, grid)
+    idx, n = grid.index_array, grid.n
+    for r, i in enumerate(grid.masked_indices):
+        for delta in assembly.near_offsets(grid.dimension):
+            j = idx[i] + np.asarray(delta)
+            if np.all((j >= 0) & (j < n)) and not grid.mask[tuple(j)]:
+                w, _ = assembly.refined_pair_weights(kernel, grid.centers, np.array([i]),
+                                                     delta, grid.h)
+                kappa[r] += w[0]
+    tail = grid.cell_volume * assembly.box_tail_density(kernel, grid)
+    return kappa + 0.5 * (1.0 + kernel.Lambda) * tail
+
+
+class TestTableEdgeCases:
+    def test_domain_flush_with_upper_edge(self):
+        # two rows against the upper x edge: +delta with delta_x = 2 has no
+        # in-box target, while -delta meets the unmasked cells below
+        n = 10
+        idx = Grid.full_box(2, 1.0, n).index_array
+        g = Grid(2, 1.0, n, ((idx[:, 0] >= n - 2) & (idx[:, 1] >= 3)).reshape(n, n))
+        k = frac_kernel(0.4, dim=2)
+        op = assemble(k, g, None)
+        assert op.symbol is not None
+        np.testing.assert_allclose(op.kappa, direct_kappa(k, g), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("dim,n", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_smallest_grids(self, dim, n):
+        # at n <= 2 the |delta| = 2 offsets do not fit in the offset table
+        mask = np.ones((n,) * dim, dtype=bool)
+        if n > 1:
+            mask.reshape(-1)[-1] = False
+        g = Grid(dim, 1.0, n, mask)
+        k = frac_kernel(0.3, dim=dim)
+        op = assemble(k, g, None)
+        assert op.pairs.shape == ((2 * n - 1) ** dim,)
+        assert set(op.diagnostics["near_refinement_depths"]) == {
+            str(d) for d in assembly.near_offsets(dim)
+            if assembly.lex_positive(d) and max(map(abs, d)) < n}
+        np.testing.assert_allclose(op.kappa, direct_kappa(k, g), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(op.matvec(np.ones(op.size)),
+                                   op.matrix @ np.ones(op.size), rtol=1e-13)
+
+    def test_full_box_has_no_inbox_killing(self):
+        g = Grid.full_box(2, 1.0, 8)
+        k = frac_kernel(0.4, dim=2)
+        op = assemble(k, g, None)
+        assert op.diagnostics["kappa_inbox_median"] == 0.0
+        assert np.array_equal(op.kappa, op.tail_interval.mean(axis=1))
+        np.testing.assert_allclose(op.kappa, direct_kappa(k, g), rtol=1e-12, atol=0.0)
+
+
 class TestRowSums:
     def test_rowsum_oracle_s025(self):
         # independent adaptive-quadrature oracle for the full interaction
@@ -529,16 +581,37 @@ class TestKilling:
         oracle, _ = integrate.quad(ray, 0, 2 * math.pi, limit=400)
         assert op.tail_interval[li, 0] == pytest.approx(g.cell_volume * oracle, rel=1e-5)
 
-    def test_box_margin_warning_and_silence(self):
-        inner = np.abs(Grid.full_box(1, 8.0, 64).centers[:, 0]) < 1.0
-        g_wide = Grid(1, 8.0, 64, inner)
-        prof = RadialProfile.exponential(2.0, dimension=1)
-        with pytest.warns(UserWarning, match="box margin"):
-            assemble(frac_kernel(0.25), Grid.full_box(1, 1.0, 16), None)
-        import warnings as w
-        with w.catch_warnings():
-            w.simplefilter("error")
-            assemble(Kernel(profile=prof), g_wide, None)
+    def test_box_margin_warning_on_wide_tail_interval(self):
+        # Lambda > 1 on a domain that touches the box: the tail is known
+        # only to within [1, Lambda] times the envelope tail, a sizable
+        # share of kappa
+        lam = 2.5
+        k = Kernel(profile=RadialProfile.power(0.4, dimension=1), Lambda=lam,
+                   modulation=make_modulation("rough_cosine", lam, dim=1),
+                   modulation_tag="rough_cosine")
+        with pytest.warns(UserWarning, match="box margin too small"):
+            op = assemble(k, Grid.full_box(1, 1.0, 32), None)
+        assert op.diagnostics["box_margin_ok"] is False
+        assert op.diagnostics["tail_interval_width_median"] > 0.0
+
+    @pytest.mark.parametrize("case", ["exact-tail", "wide-margin"])
+    def test_box_margin_silent(self, case):
+        if case == "exact-tail":
+            # Lambda = 1: the tail is exact, however large its share of kappa
+            k, g = frac_kernel(0.25), Grid.full_box(1, 1.0, 16)
+        else:
+            inner = np.abs(Grid.full_box(1, 8.0, 64).centers[:, 0]) < 1.0
+            g = Grid(1, 8.0, 64, inner)
+            k = Kernel(profile=RadialProfile.exponential(2.0, dimension=1), Lambda=2.0,
+                       modulation=make_modulation("rough_cosine", 2.0, dim=1),
+                       modulation_tag="rough_cosine")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            op = assemble(k, g, None)
+        assert op.diagnostics["box_margin_ok"] is True
+        if case == "exact-tail":
+            assert op.diagnostics["tail_interval_width_max"] == 0.0
+            assert op.diagnostics["tail_to_kappa_median_ratio"] > 0.1
 
 
 class TestRhs:

@@ -4,17 +4,16 @@ codes, sweep behavior, and the rearrange subcommand."""
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from levysym.cli import (ConfigError, ScenarioError, main, parse_config,
-                         refine_sweep, run_scenario, step_averages)
+from levysym.cli import (ConfigError, ScenarioError, estimate_bytes, main,
+                         parse_config, refine_sweep, run_scenario, step_averages)
 from levysym.rearrange import (Grid, GridFunction, read_gridfunction_csv,
                                write_gridfunction_csv)
 from levysym.solvers import TimeGrid
-
-pytestmark = pytest.mark.filterwarnings("ignore:box margin too small")
 
 
 def write_config(tmp_path, name="scenario.json", **overrides):
@@ -274,6 +273,34 @@ class TestRunScenario:
             tmp_path, f={"kind": "table", "path": "f.csv"}))
         with pytest.raises(ScenarioError):
             run_scenario(cfg, "elliptic")
+
+
+class TestMemoryEstimate:
+    BOXES = [[[-1.0, -0.1], [-1.0, 1.0]], [[0.1, 1.0], [-0.5, 0.5]]]
+    MODULATED = {"kind": "fractional", "s": 0.5, "Lambda": 2.0,
+                 "modulation": "separable_cosine", "omega": 3.0}
+
+    @pytest.mark.parametrize("dim,n,modulated,steps", [
+        (2, 32, False, None), (2, 64, False, None), (1, 256, True, None),
+        (1, 1024, True, None), (1, 256, False, 100)])
+    def test_tracemalloc_peak_within_estimate(self, tmp_path, dim, n, modulated, steps):
+        # unmodulated: two table operators; modulated: a dense original
+        extra = {"domain": {"type": "boxes", "pieces": self.BOXES}} if dim == 2 else {}
+        if modulated:
+            extra["kernel"] = self.MODULATED
+        checks = ["comparison", "energy", "polya_szego", "coarea"]
+        if steps:
+            extra["time"] = {"horizon": 1.0, "steps": steps}
+            checks = ["parabolic", "comparison"]
+        cfg = parse_config(write_config(tmp_path, dimension=dim, n=n, checks=checks,
+                                        **extra))
+        tracemalloc.start()
+        try:
+            run_scenario(cfg, "parabolic" if steps else "elliptic")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate_bytes(cfg)
 
 
 class TestRefineSweep:

@@ -23,8 +23,6 @@ from levysym.solvers import (EllipticSolution, SolverError, TimeGrid,
                              parabolic_solve, pcg, solve_elliptic,
                              time_average, write_trajectory)
 
-pytestmark = pytest.mark.filterwarnings("ignore:box margin too small")
-
 
 def box_grid(n, half_width=1.0, dim=1, mask=None):
     if mask is None:
