@@ -14,20 +14,24 @@ constant has no variation inside a cell.
 On the uniform grid the envelope part of a far weight, J(h |i - j|),
 depends on the index offset i - j only, so the profile is evaluated once
 on the (2n - 1)^N integer offsets of the box (zero at Chebyshev distance
-<= 2).  Without modulation the near weight depends on the offset too, so
-every weight is T[p_i - p_j] for one table T: the far table times the
-squared volume, with one near constant per offset written in.  Such an
-operator stores T and the Fourier symbol of its (2n)^N circulant
-embedding.  W x, the killing toward unmasked box cells and the linear
-system (a ToeplitzSystem) are FFT products, and rows of W are gathered
-from T on request, so no m x m array is built.
+<= 2).  Without modulation, and with a RoughCosine modulation a(|x - y|),
+the whole kernel a J is translation invariant, so every weight is
+T[p_i - p_j] for one table T: the far table (times a at the offset
+vectors) times the squared volume, with one near constant per offset,
+refined with a J, written in.  Such a table operator stores T and the
+Fourier symbol of its (2n)^N circulant embedding.  W x, the killing
+toward unmasked box cells and the linear system (a ToeplitzSystem) are
+FFT products, and rows of W are gathered from T on request, so no m x m
+array is built.
 
-A modulation a(x_i, x_j) multiplies the gathered far values pair by pair
-and enters the near quadrature row by row, so modulated and radial
-operators store the dense symmetric m x m W, and their system is the
-dense `matrix`.  Outside DiscreteOperator, W is read only through
-pair_rows (rows of W) and weights_times (W x); weight_matrix and matrix
-are explicit materialisations for small m.
+A SeparableCosine modulation 1 + amp g(x) g(y) multiplies the gathered far
+values pair by pair, and its near weights differ from row to row: each
+refinement level builds them from three sums per offset (separable_rows).
+Separable and radial operators store the dense symmetric m x m W, and
+their system is the dense `matrix`.  assemble refuses any other
+modulation callable with a ValueError.  Outside DiscreteOperator, W is
+read only through pair_rows (rows of W) and weights_times (W x);
+weight_matrix and matrix are explicit materialisations for small m.
 
 Killing collects everything the masked cell sees outside the domain: the
 same pairwise weights toward unmasked in-box cells, plus the analytic
@@ -53,6 +57,8 @@ from .env import thread_setting
 from .kernels import (
     Kernel,
     RadialProfile,
+    RoughCosine,
+    SeparableCosine,
     angular_kernel_average,
     ball_volume,
     exterior_ball_mass,
@@ -78,8 +84,6 @@ NEAR_TOL = 1e-6
 NEAR_CAP_1D = 1024
 NEAR_CAP_2D = 256
 TAIL_ANGLES = 2048
-# bound on rows x subcells per modulation evaluation block
-NEAR_BLOCK = 4_000_000
 # bound on the entries of one row block of offset-table gathers or tail rays
 ROW_BLOCK = 1 << 20
 
@@ -344,6 +348,28 @@ def lex_positive(delta: tuple) -> bool:
     return False
 
 
+def offset_modulation(kernel: Kernel, v: np.ndarray) -> np.ndarray:
+    """a(0, v) for each offset vector v (a row of v), through the band
+    check of modulation_factor.  For a modulation of |x - y| alone this is
+    its value at every pair of points v apart."""
+    y = v[:, 0] if v.shape[1] == 1 else v
+    return modulation_factor(kernel, np.zeros_like(y), y)
+
+
+def separable_rows(mod: SeparableCosine, xi: np.ndarray, xj: np.ndarray,
+                   c0: float, C: float, S: float) -> np.ndarray:
+    """Sum over the subcell points v of (a(x_i, x_i + v) + a(x_j, x_j - v))
+    J(|v|) / 2 per row, from c0 = sum J, C = sum cos(omega s_v) J and
+    S = sum sin(omega s_v) J, s the coordinate sum.  Exact, since
+    g(x + v) = (1 + cos(omega s_x) cos(omega s_v) - sin(omega s_x)
+    sin(omega s_v)) / 2."""
+    pi, pj = mod.omega * xi.sum(axis=1), mod.omega * xj.sum(axis=1)
+    ci, cj = np.cos(pi), np.cos(pj)
+    gi, gj = 0.5 * (1.0 + ci), 0.5 * (1.0 + cj)
+    return c0 + 0.25 * mod.amp * (gi * (c0 + ci * C - np.sin(pi) * S)
+                                  + gj * (c0 + cj * C + np.sin(pj) * S))
+
+
 def refined_pair_weights(kernel: Kernel, centers: np.ndarray, rows: np.ndarray,
                          delta: tuple, h: float) -> tuple:
     """Symmetrized near-pair weights for all pairs (i, i + delta).
@@ -351,37 +377,35 @@ def refined_pair_weights(kernel: Kernel, centers: np.ndarray, rows: np.ndarray,
     centers: (count, N) cell centers of the full box, rows: flat indices of
     the source cells.  Returns (weights, depth) where weights[r] is
     (Q(C_i, C_j) + Q(C_j, C_i)) / 2 for i = rows[r], j the delta-neighbor.
-    The midpoint refinements are Richardson-extrapolated; AssemblyError if
-    the relative change never falls below NEAR_TOL.
+    Each midpoint level sums over the subcell points v = h delta + t: one
+    constant for every row unless the modulation is separable, whose
+    per-row values come from three per-offset sums (separable_rows) and
+    must lie in [1, Lambda] times the unmodulated sum.  The levels are
+    Richardson-extrapolated; AssemblyError if the relative change never
+    falls below NEAR_TOL.
     """
     dim = len(delta)
     shift = h * np.asarray(delta, dtype=np.float64)
+    mod = kernel.modulation
     xi = centers[rows]
-    xj = xi + shift
     cap = NEAR_CAP_1D if dim == 1 else NEAR_CAP_2D
 
     def level(m: int) -> np.ndarray:
-        t = subcell_offsets(h, m, dim)
-        radii = np.sqrt(np.sum((shift[None, :] + t) ** 2, axis=1))
-        jvals = kernel.profile.evaluate(radii)
+        v = shift[None, :] + subcell_offsets(h, m, dim)
+        jvals = kernel.profile.evaluate(np.sqrt(np.sum(v ** 2, axis=1)))
         scale = h ** dim * (h / m) ** dim
-        if kernel.modulation is None:
-            return np.full(rows.size, scale * float(jvals.sum()))
-        # a-factor symmetrized over both cell viewpoints; t -> -t on the
-        # mirrored half keeps the radius multiset identical
-        out = np.empty(rows.size)
-        step = max(1, NEAR_BLOCK // max(t.shape[0], 1))
-        for lo in range(0, rows.size, step):
-            hi = min(lo + step, rows.size)
-            y_fwd = xi[lo:hi, None, :] + (shift + t)[None, :, :]
-            y_bwd = xi[lo:hi, None, :] - t[None, :, :]
-            if dim == 1:
-                a_fwd = modulation_factor(kernel, xi[lo:hi, None, 0], y_fwd[:, :, 0])
-                a_bwd = modulation_factor(kernel, xj[lo:hi, None, 0], y_bwd[:, :, 0])
-            else:
-                a_fwd = modulation_factor(kernel, xi[lo:hi, None, :], y_fwd)
-                a_bwd = modulation_factor(kernel, xj[lo:hi, None, :], y_bwd)
-            out[lo:hi] = scale * ((0.5 * (a_fwd + a_bwd)) @ jvals)
+        if not isinstance(mod, SeparableCosine):
+            # with a(|x - y|) both cell viewpoints see the same radii
+            aj = jvals if mod is None else offset_modulation(kernel, v) * jvals
+            return np.full(rows.size, scale * float(aj.sum()))
+        phase = mod.omega * v.sum(axis=1)
+        c0 = float(jvals.sum())
+        out = scale * separable_rows(mod, xi, xi + shift, c0,
+                                     float(np.cos(phase) @ jvals),
+                                     float(np.sin(phase) @ jvals))
+        lo = scale * c0
+        if np.any(out < lo * (1.0 - 1e-12)) or np.any(out > kernel.Lambda * lo * (1.0 + 1e-12)):
+            raise ValueError("modulation leaves the certified band [1, Lambda]")
         return out
 
     prev_plain = level(1)
@@ -435,11 +459,12 @@ def box_tail_density(kernel: Kernel, grid: Grid) -> np.ndarray:
     raise ValueError("full-grid assembly supports dimensions 1 and 2")
 
 
-def far_offset_table(kernel: Kernel, grid: Grid) -> tuple:
-    """Envelope profile at every integer index offset of the box, flattened
-    over the (2n - 1)^N offsets in C order, and the mask of far offsets.
-    The profile entry is zero at Chebyshev distance <= 2, where the near
-    field and the self pair take over."""
+def far_offset_table(kernel: Kernel, grid: Grid) -> np.ndarray:
+    """Profile at every integer index offset of the box, flattened over the
+    (2n - 1)^N offsets in C order.  A RoughCosine factor a(|x - y|) is
+    multiplied in; any other modulation is left to the caller.  The entry
+    is zero at Chebyshev distance <= 2, where the near field and the self
+    pair take over."""
     n, dim = grid.n, grid.dimension
     axis = np.arange(1 - n, n, dtype=np.int64)
     offsets = np.stack([g.ravel() for g in np.meshgrid(*([axis] * dim), indexing="ij")],
@@ -448,7 +473,9 @@ def far_offset_table(kernel: Kernel, grid: Grid) -> tuple:
     diff = grid.h * offsets[far]
     table = np.zeros(offsets.shape[0])
     table[far] = kernel.profile.evaluate(np.sqrt(np.sum(diff * diff, axis=1)))
-    return table, far
+    if isinstance(kernel.modulation, RoughCosine):
+        table[far] *= offset_modulation(kernel, diff)
+    return table
 
 
 def far_field(kernel: Kernel, grid: Grid) -> tuple:
@@ -457,26 +484,28 @@ def far_field(kernel: Kernel, grid: Grid) -> tuple:
     unmasked ones summed per row into kappa.
 
     The weight of cells i, j is table[zero + p_i - p_j] (see
-    table_positions), times a(x_i, x_j) on modulated kernels and the squared
-    volume.
+    table_positions), times a(x_i, x_j) on separable kernels and the
+    squared volume.
     """
-    table, far = far_offset_table(kernel, grid)
+    table = far_offset_table(kernel, grid)
     scale = grid.cell_volume ** 2
     points = grid.centers[:, 0] if grid.dimension == 1 else grid.centers
     midx = grid.masked_indices
     outside = np.flatnonzero(~grid.mask_flat)
 
     def block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        at = table_positions(grid, rows, cols)
-        k = table[at]
-        ri, ci = np.nonzero(far[at])
-        k[ri, ci] *= modulation_factor(kernel, points[rows[ri]], points[cols[ci]])
+        k = table[table_positions(grid, rows, cols)]
+        if isinstance(kernel.modulation, SeparableCosine):
+            # every pair of the block; the table is zero off the far offsets
+            k *= modulation_factor(kernel, points[rows][:, None], points[cols][None])
         k *= scale
         return k
 
     W = np.zeros((midx.size, midx.size))
     kappa = np.zeros(midx.size)
-    step = max(1, ROW_BLOCK // grid.cell_count)
+    # blocks of ROW_BLOCK / 8 pairs: the gather and the modulation's
+    # temporaries take a few arrays of that size
+    step = max(1, ROW_BLOCK // (8 * grid.cell_count))
     for lo in range(0, midx.size, step):
         rows = midx[lo:lo + step]
         W[lo:lo + step] = block(rows, midx)
@@ -514,9 +543,17 @@ def near_field(kernel: Kernel, grid: Grid, W: np.ndarray, kappa: np.ndarray) -> 
 
 
 def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> DiscreteOperator:
-    """Assemble the discrete operator for the kernel on the masked cells."""
+    """Assemble the discrete operator for the kernel on the masked cells.
+
+    The modulation must be None, a RoughCosine or a SeparableCosine (what
+    make_modulation returns); any other callable raises ValueError, since
+    the near field is built from the modulation's structure.
+    """
     if kernel.dimension != grid.dimension:
         raise ValueError("kernel dimension does not match the grid")
+    if not isinstance(kernel.modulation, (type(None), RoughCosine, SeparableCosine)):
+        raise ValueError("assemble takes a modulation from make_modulation "
+                         "(RoughCosine or SeparableCosine), not an arbitrary callable")
     if c is not None:
         cvals = masked_vector(grid, c)
         if cvals.size and cvals.min() < 0:
@@ -527,8 +564,8 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> Discr
     t0 = time.perf_counter()
     workers = thread_count()
     dim, n, vol, m = grid.dimension, grid.n, grid.cell_volume, grid.masked_count
-    if kernel.modulation is None:
-        pairs = far_offset_table(kernel, grid)[0] * vol ** 2
+    if not isinstance(kernel.modulation, SeparableCosine):
+        pairs = far_offset_table(kernel, grid) * vol ** 2
         t_far = time.perf_counter()
         # one near constant per lex-positive offset that fits in the table,
         # written at +delta and -delta; the source cell is immaterial
@@ -545,7 +582,7 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> Discr
         # indicator, clipped since rounding may take a zero sum below zero
         kappa = np.maximum(ToeplitzSystem(symbol, grid).weights_times(
             1.0, np.flatnonzero(~grid.mask_flat)), 0.0)
-    else:  # the far field and the per-row near field of a modulated kernel
+    else:  # the far field and the per-row near field of a separable kernel
         pairs, kappa = far_field(kernel, grid)
         t_far = time.perf_counter()
         depths = near_field(kernel, grid, pairs, kappa)

@@ -16,10 +16,11 @@ import math
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
-from levysym.assembly import NEAR_BLOCK, ROW_BLOCK, AssemblyError, assemble
+from levysym.assembly import ROW_BLOCK, AssemblyError, assemble
 from levysym.env import thread_setting
 from levysym.kernels import (IntegrabilityError, Kernel, KernelDomainError,
                              RadialProfile, make_modulation, rearrange_profile)
@@ -550,6 +551,26 @@ def write_concentration_csv(path, u_fn, v_fn):
                              f"{a - b:.17g}"])
 
 
+class WarningLog(warnings.catch_warnings):
+    """Inside the block every warning shown is also kept in records as
+    {"category", "message", "phase"}, and still goes on to the handler
+    outside (stderr by default).  phase names the part of the run that
+    raised it."""
+
+    def __enter__(self):
+        super().__enter__()
+        self.records, self.phase = [], "setup"
+        show = warnings.showwarning
+
+        def keep(message, category, filename, lineno, file=None, line=None):
+            self.records.append({"category": category.__name__,
+                                 "message": str(message), "phase": self.phase})
+            show(message, category, filename, lineno, file, line)
+
+        warnings.showwarning = keep
+        return self
+
+
 def run_scenario(cfg, mode):
     """Execute one scenario; returns (exit_code, summary dict)."""
     if mode not in ("elliptic", "parabolic"):
@@ -566,7 +587,12 @@ def run_scenario(cfg, mode):
         if bad:
             raise ScenarioError(
                 f"checks not available in a parabolic run: {', '.join(bad)}")
+    with WarningLog() as log:
+        return run_phases(cfg, mode, log)
 
+
+def run_phases(cfg, mode, log):
+    """The body of run_scenario; log.phase names the phase that runs."""
     t_start = time.perf_counter()
     outdir = os.path.join(cfg.base_dir, cfg.output)
     os.makedirs(outdir, exist_ok=True)
@@ -582,6 +608,7 @@ def run_scenario(cfg, mode):
     f_fn = data_function(cfg.f, cfg, grid)
     f_sharp = schwarz_rearrangement(f_fn)
 
+    log.phase = "assembly"
     t_asm = time.perf_counter()
     op_u = assemble(kernel, grid, c=c_vec)
     op_v = assemble(envelope, ball, c=c_sharp)
@@ -599,6 +626,7 @@ def run_scenario(cfg, mode):
                      "symmetrized": op_v.diagnostics},
     }
 
+    log.phase = "solve"
     t_solve = time.perf_counter()
     if mode == "elliptic":
         u_sol = solve_elliptic(op_u, f_fn, tol=cfg.solver_tol)
@@ -607,6 +635,8 @@ def run_scenario(cfg, mode):
         diagnostics["solver"] = {
             "iterations_u": u_sol.iterations, "iterations_v": v_sol.iterations,
             "residual_u": u_sol.residual_norm, "residual_v": v_sol.residual_norm,
+            "residual_history_u": u_sol.residual_history,
+            "residual_history_v": v_sol.residual_history,
         }
     else:
         timegrid = TimeGrid(cfg.time["horizon"], cfg.time["steps"])
@@ -627,6 +657,7 @@ def run_scenario(cfg, mode):
         }
     diagnostics["solver"]["seconds"] = time.perf_counter() - t_solve
 
+    log.phase = "io"
     write_gridfunction_csv(u_fn, os.path.join(outdir, "u.csv"))
     write_gridfunction_csv(v_fn, os.path.join(outdir, "v.csv"))
     write_concentration_csv(os.path.join(outdir, "concentration.csv"),
@@ -636,6 +667,7 @@ def run_scenario(cfg, mode):
     checks_path = os.path.join(outdir, "checks.jsonl")
     digest = config_hash(cfg.raw)
     check_seconds = {}
+    log.phase = "checks"
     try:
         for name in cfg.checks:
             t_check = time.perf_counter()
@@ -666,6 +698,7 @@ def run_scenario(cfg, mode):
                              "reports": len(reports),
                              "failed": sum(not r.passed for r in reports),
                              "seconds": check_seconds}
+    diagnostics["warnings"] = log.records
     diagnostics["total_seconds"] = time.perf_counter() - t_start
     with open(os.path.join(outdir, "diagnostics.json"), "w") as fh:
         json.dump(json_ready(diagnostics), fh, indent=2, sort_keys=True)
@@ -686,16 +719,17 @@ def estimate_bytes(cfg):
     """Peak array bytes of one level, from the representation assemble picks
     and counted before anything big is allocated: (2n)^N box arrays, coarea
     blocks of CUT_BLOCK rows of W and, in 2-D, tail blocks of ROW_BLOCK rays;
-    a modulated operator adds m x m pairs, matrix and one transient copy and
-    its NEAR_BLOCK near-field temporaries, a parabolic run its per-step loads
-    and states.  Fixed I/O overhead (under 1 MB) is not counted."""
+    a separable_cosine operator, the one form kept dense, adds m x m pairs,
+    matrix and one transient copy and its far-field blocks (ROW_BLOCK / 8
+    pairs, a few arrays each), a parabolic run its per-step loads and
+    states.  Fixed I/O overhead (under 1 MB) is not counted."""
     grid = scenario_grid(cfg)
     m, dim = grid.masked_count, grid.dimension
     floats = 8 * (2 * grid.n) ** dim + 4 * min(m, CUT_BLOCK) * m
     if dim == 2:
         floats += 10 * ROW_BLOCK
-    if cfg.kernel["modulation"] != "none":
-        floats += 3 * m * m + (2 * dim + 5) * NEAR_BLOCK
+    if cfg.kernel["modulation"] == "separable_cosine":
+        floats += 3 * m * m + ROW_BLOCK
     if cfg.time is not None:
         floats += 8 * cfg.time["steps"] * grid.cell_count
     return 8 * floats

@@ -22,6 +22,8 @@ __all__ = [
     "Kernel",
     "eval_kernel",
     "make_modulation",
+    "RoughCosine",
+    "SeparableCosine",
     "rearrange_profile",
     "levy_integral",
     "exp_weight_mass",
@@ -303,7 +305,8 @@ class Kernel:
     ``modulation`` must be symmetric in its arguments and take values in
     [1, Lambda]; evaluation clips into that range and rejects modulations
     exceeding it by more than 1e-12. ``modulation_tag`` names the modulation
-    for serialization and diagnostics.
+    for serialization and diagnostics.  ``assemble`` takes only the
+    modulations of :func:`make_modulation` (RoughCosine, SeparableCosine).
     """
 
     profile: RadialProfile
@@ -354,37 +357,54 @@ def eval_kernel(kernel: Kernel, x, y):
     return modulation_factor(kernel, xa, ya) * kernel.profile.evaluate(r)
 
 
+@dataclass(frozen=True)
+class RoughCosine:
+    """a(x, y) = 1 + amp (1 + cos(omega |x - y|)) / 2.
+
+    It depends on |x - y| only, so a(x, y) J(|x - y|) is translation
+    invariant and assembles as an offset table."""
+
+    amp: float
+    omega: float
+    dim: int
+
+    def __call__(self, x, y):
+        d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+        r = np.abs(d) if self.dim == 1 else np.sqrt(np.sum(d ** 2, axis=-1))
+        return 1.0 + self.amp * 0.5 * (1.0 + np.cos(self.omega * r))
+
+
+@dataclass(frozen=True)
+class SeparableCosine:
+    """a(x, y) = 1 + amp g(x) g(y) with g(z) = (1 + cos(omega s(z))) / 2 and
+    s(z) the coordinate sum of z."""
+
+    amp: float
+    omega: float
+    dim: int
+
+    def g(self, z):
+        z = np.asarray(z, dtype=float)
+        return 0.5 * (1.0 + np.cos(self.omega * (z if self.dim == 1 else np.sum(z, axis=-1))))
+
+    def __call__(self, x, y):
+        return 1.0 + self.amp * self.g(x) * self.g(y)
+
+
 def make_modulation(tag: str, Lambda: float, dim: int, omega: float = 3.0):
     """Named symmetric modulations taking values in [1, Lambda].
 
-    ``rough_cosine`` depends on |x - y| only; ``separable_cosine`` is the
-    product form 1 + (Lambda - 1) g(x) g(y). ``none`` returns None
-    (modulation identically 1).
+    ``rough_cosine`` is a RoughCosine, ``separable_cosine`` a
+    SeparableCosine, both with amplitude Lambda - 1.  ``none`` returns None
+    (modulation identically 1).  These are the modulations ``assemble``
+    accepts.
     """
     if tag == "none":
         return None
-    amp = Lambda - 1.0
-
-    def radius(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if dim == 1:
-            return np.abs(x - y)
-        return np.sqrt(np.sum((x - y) ** 2, axis=-1))
-
-    def coord_sum(z):
-        z = np.asarray(z, dtype=float)
-        return z if dim == 1 else np.sum(z, axis=-1)
-
     if tag == "rough_cosine":
-        return lambda x, y: 1.0 + amp * 0.5 * (1.0 + np.cos(omega * radius(x, y)))
+        return RoughCosine(amp=Lambda - 1.0, omega=omega, dim=dim)
     if tag == "separable_cosine":
-        def a_sep(x, y):
-            gx = 0.5 * (1.0 + np.cos(omega * coord_sum(x)))
-            gy = 0.5 * (1.0 + np.cos(omega * coord_sum(y)))
-            return 1.0 + amp * gx * gy
-
-        return a_sep
+        return SeparableCosine(amp=Lambda - 1.0, omega=omega, dim=dim)
     raise ValueError(f"unknown modulation tag {tag!r}; known: none, rough_cosine, separable_cosine")
 
 

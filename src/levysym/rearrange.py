@@ -367,18 +367,15 @@ def write_gridfunction_csv(f: GridFunction, path) -> None:
     dim = grid.dimension
     index_names = ["i", "j", "k", "l"][:dim] if dim <= 4 else [f"i{k}" for k in range(dim)]
     coord_names = ["x", "y", "z", "w"][:dim] if dim <= 4 else [f"x{k}" for k in range(dim)]
+    # byte for byte what csv.writer writes: no field needs quoting and
+    # rows end in \r\n
+    row = ",".join(["{}"] * dim + ["{:.17g}"] * (dim + 1) + ["{:d}"]) + "\r\n"
+    columns = ([grid.index_array[:, k].tolist() for k in range(dim)]
+               + [grid.centers[:, k].tolist() for k in range(dim)]
+               + [f.values.tolist(), grid.mask_flat.tolist()])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(index_names + coord_names + ["value", "masked"])
-        idx = grid.index_array
-        centers = grid.centers
-        maskf = grid.mask_flat
-        for row in range(grid.cell_count):
-            rec = [str(int(idx[row, k])) for k in range(dim)]
-            rec += [f"{centers[row, k]:.17g}" for k in range(dim)]
-            rec.append(f"{f.values[row]:.17g}")
-            rec.append("1" if maskf[row] else "0")
-            writer.writerow(rec)
+        fh.write(",".join(index_names + coord_names + ["value", "masked"]) + "\r\n")
+        fh.writelines(row.format(*rec) for rec in zip(*columns))
 
 
 def read_gridfunction_csv(path) -> GridFunction:

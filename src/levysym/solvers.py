@@ -7,8 +7,8 @@ the elliptic system shifted by the volume-weighted mass over the step
 size, which stays symmetric positive definite for every step size.
 
 Both solve the operator's `system`: for a translation-invariant operator
-a ToeplitzSystem whose products go through the FFT, for a modulated or
-radial one the dense matrix.  The mass shift is a diagonal added to that
+(unmodulated or rough_cosine) a ToeplitzSystem whose products go
+through the FFT, for a separable_cosine or radial one the dense matrix.  The mass shift is a diagonal added to that
 system once per march.
 """
 

@@ -257,7 +257,7 @@ class TestToeplitzSystem:
         np.testing.assert_allclose(shifted.system().diagonal(),
                                    op.system(mass).diagonal(), rtol=1e-15, atol=0.0)
 
-    @pytest.mark.parametrize("tag", ["separable_cosine", "rough_cosine"])
+    @pytest.mark.parametrize("tag", ["separable_cosine"])
     def test_modulated_operators_stay_dense(self, tag):
         op = assemble(modulated_kernel(tag, 1), two_piece_grid(1), None)
         assert op.diagnostics["matvec"] == "dense"
@@ -308,7 +308,7 @@ class TestStoredPairs:
                                       "rough_cosine", "radial"])
     def test_energy_matches_pair_sum(self, cases, name):
         op = cases[name]
-        assert (op.symbol is not None) == (name == "table-2d")
+        assert (op.symbol is not None) == (name in ("table-2d", "rough_cosine"))
         rng = np.random.default_rng(11)
         for u in (rng.normal(size=op.size), rng.uniform(0.0, 1.0, op.size)):
             assert energy(op, u) == pytest.approx(pair_energy(op, u), rel=1e-12)
@@ -343,7 +343,7 @@ class TestStoredPairs:
         assert np.all(gathered[band & ~np.eye(op.size, dtype=bool)] > 0)
 
     def test_dense_pairs_must_be_square(self, cases):
-        op = cases["rough_cosine"]
+        op = cases["separable_cosine"]
         with pytest.raises(ValueError, match="m x m"):
             replace(op, pairs=op.pairs[:-1])
 
@@ -363,6 +363,194 @@ def direct_kappa(kernel, grid):
                 kappa[r] += w[0]
     tail = grid.cell_volume * assembly.box_tail_density(kernel, grid)
     return kappa + 0.5 * (1.0 + kernel.Lambda) * tail
+
+
+def per_row_near(kernel, grid, rows, delta):
+    """Reference near weights for the pairs (i, i + delta), i in rows: the
+    modulation of both cell viewpoints evaluated at every subcell point of
+    every row, with the Richardson loop of assembly.refined_pair_weights.
+    Returns (weights, depth)."""
+    dim, h, a = grid.dimension, grid.h, kernel.modulation
+    shift = h * np.asarray(delta, dtype=np.float64)
+    xi = grid.centers[rows]
+    xj = xi + shift
+    cap = assembly.NEAR_CAP_1D if dim == 1 else assembly.NEAR_CAP_2D
+
+    def level(m):
+        axis = (np.arange(m) + 0.5) * (h / m) - h / 2.0
+        t = np.stack([g.ravel() for g in np.meshgrid(*([axis] * dim), indexing="ij")],
+                     axis=1)
+        v = shift + t
+        jvals = kernel.profile.evaluate(np.sqrt(np.sum(v ** 2, axis=1)))
+        out = np.empty(len(rows))
+        for lo in range(0, len(rows), 8):
+            x, y = xi[lo:lo + 8, None, :], xj[lo:lo + 8, None, :]
+            fwd, bwd = x + v[None], y - v[None]
+            if dim == 1:
+                avg = 0.5 * (a(x[..., 0], fwd[..., 0]) + a(y[..., 0], bwd[..., 0]))
+            else:
+                avg = 0.5 * (a(x, fwd) + a(y, bwd))
+            out[lo:lo + 8] = avg @ jvals
+        return h ** dim * (h / m) ** dim * out
+
+    prev_plain, prev_rich, m = level(1), None, 2
+    while m <= cap:
+        plain = level(m)
+        rich = plain + (plain - prev_plain) / 3.0
+        if (prev_rich is not None
+                and np.max(np.abs(rich - prev_rich) / np.abs(rich)) < assembly.NEAR_TOL):
+            return rich, m
+        prev_plain, prev_rich, m = plain, rich, 2 * m
+    raise AssertionError(f"reference near quadrature did not converge at {delta}")
+
+
+def near_rows(grid, delta):
+    """The source rows assembly.near_field refines for an offset: masked
+    cells whose delta-neighbor lies in the box, and for an offset that is
+    not lex-positive only those whose neighbor is unmasked.  Returns the
+    flat source cells and the flat targets."""
+    idx = grid.index_array
+    src = grid.masked_indices
+    target = idx[src] + np.asarray(delta)
+    inside = np.all((target >= 0) & (target < grid.n), axis=1)
+    src, target = src[inside], target[inside]
+    tflat = np.ravel_multi_index(tuple(target.T), grid.mask.shape)
+    if not assembly.lex_positive(delta):
+        keep = ~grid.mask_flat[tflat]
+        src, tflat = src[keep], tflat[keep]
+    return src, tflat
+
+
+def reference_near(kernel, grid):
+    """Near part of W and of kappa and the depth per offset, pair by pair
+    through per_row_near.  Returns ({delta: (src, tflat, weights)}, depths)."""
+    out, depths = {}, {}
+    for delta in assembly.near_offsets(grid.dimension):
+        src, tflat = near_rows(grid, delta)
+        if src.size:
+            w, depths[str(delta)] = per_row_near(kernel, grid, src, delta)
+            out[delta] = (src, tflat, w)
+    return out, depths
+
+
+def mutant_rows(kind):
+    """assembly.separable_rows with one deliberate fault ("exact": none)."""
+    def rows(mod, xi, xj, c0, C, S):
+        pi, pj = mod.omega * xi.sum(axis=1), mod.omega * xj.sum(axis=1)
+        ci, cj = np.cos(pi), np.cos(pj)
+        gi, gj = 0.5 * (1.0 + ci), 0.5 * (1.0 + cj)
+        if kind == "swap-cos":
+            ci, cj = cj, ci
+        s_sign = 1.0 if kind == "flip-S" else -1.0
+        quarter = 0.5 if kind == "amp/2" else 0.25
+        return c0 + quarter * mod.amp * (gi * (c0 + ci * C + s_sign * np.sin(pi) * S)
+                                         + gj * (c0 + cj * C + np.sin(pj) * S))
+    return rows
+
+
+class TestModulationForms:
+    @pytest.fixture(scope="class")
+    def separable(self):
+        out = {}
+        for dim in (1, 2):
+            g = two_piece_grid(dim)
+            k = modulated_kernel("separable_cosine", dim)
+            out[dim] = (g, k) + reference_near(k, g)
+        return out
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_separable_near_weights_match_per_row(self, separable, dim):
+        g, k, ref, depths = separable[dim]
+        named = [(1,), (2,)] if dim == 1 else [(1, 0), (1, 1), (2, -1)]
+        assert all(d in ref for d in named)
+        for delta, (src, _, want) in ref.items():
+            got, depth = assembly.refined_pair_weights(k, g.centers, src, delta, g.h)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+            assert depth == depths[str(delta)]
+        op = assemble(k, g, None)
+        assert op.diagnostics["near_refinement_depths"] == depths
+        # the assembled band carries the per-row weights at the named offsets
+        local = np.full(g.cell_count, -1)
+        local[g.masked_indices] = np.arange(g.masked_count)
+        for delta in named:
+            src, tflat, want = ref[delta]
+            to_masked = g.mask_flat[tflat]
+            np.testing.assert_allclose(
+                op.weight_matrix[local[src[to_masked]], local[tflat[to_masked]]],
+                want[to_masked], rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["exact", "flip-S", "swap-cos", "amp/2"])
+    def test_separable_mutants_fail(self, separable, kind, monkeypatch):
+        g, k, ref, _ = separable[2]
+        monkeypatch.setattr(assembly, "separable_rows", mutant_rows(kind))
+        worst = 0.0
+        for delta in [(1, 0), (1, 1), (2, -1)]:
+            src, _, want = ref[delta]
+            try:
+                got, _ = assembly.refined_pair_weights(k, g.centers, src, delta, g.h)
+            except ValueError:  # the band guard caught it
+                worst = math.inf
+                break
+            worst = max(worst, float(np.max(np.abs(got - want) / want)))
+        assert (worst <= 1e-13) == (kind == "exact")
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rough_cosine_table_matches_dense_reference(self, dim):
+        g = two_piece_grid(dim)
+        k = modulated_kernel("rough_cosine", dim)
+        op = assemble(k, g, None)
+        assert op.diagnostics["matvec"] == "fft"
+        assert op.pairs.shape == ((2 * g.n - 1) ** dim,)
+        x = np.random.default_rng(4).normal(size=op.size)
+        y = op.matvec(x)
+        assert dense_arrays(op) == []
+        W, kappa = direct_far_field(k, g)
+        local = np.full(g.cell_count, -1)
+        local[g.masked_indices] = np.arange(g.masked_count)
+        for delta, (src, tflat, w) in reference_near(k, g)[0].items():
+            to_masked = g.mask_flat[tflat]
+            rows, cols = local[src[to_masked]], local[tflat[to_masked]]
+            W[rows, cols] = W[cols, rows] = w[to_masked]
+            np.add.at(kappa, local[src[~to_masked]], w[~to_masked])
+        np.testing.assert_allclose(op.weight_matrix, W, rtol=1e-13, atol=0.0)
+        tail = g.cell_volume * assembly.box_tail_density(k, g)
+        np.testing.assert_allclose(op.kappa, kappa + 0.5 * (1.0 + k.Lambda) * tail,
+                                   rtol=1e-12, atol=0.0)
+        want = op.matrix @ x
+        assert np.max(np.abs(y - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_plain_callable_refused(self, dim):
+        k = Kernel(profile=RadialProfile.power(0.4, dimension=dim), Lambda=2.0,
+                   modulation=lambda x, y: 1.5 + 0 * np.asarray(x, dtype=float),
+                   modulation_tag="rough_cosine")
+        with pytest.raises(ValueError, match="make_modulation"):
+            assemble(k, two_piece_grid(dim), None)
+
+    @pytest.mark.parametrize("tag", ["separable_cosine", "rough_cosine"])
+    def test_out_of_band_kernel_refused(self, tag):
+        # 1 + amp = 3 above Lambda = 1.5
+        k = Kernel(profile=RadialProfile.power(0.4, dimension=2), Lambda=1.5,
+                   modulation=make_modulation(tag, 3.0, dim=2), modulation_tag=tag)
+        with pytest.raises(ValueError, match="certified band"):
+            assemble(k, Grid.full_box(2, 1.0, 16), None)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_refined_separable_weights_band_checked(self, dim):
+        # the near guard on its own: in band at Lambda = 1 + amp, refused
+        # just below the largest pair-averaged factor
+        g = Grid.full_box(dim, 1.0, 8)
+        delta = (1,) * dim
+        src = near_rows(g, delta)[0]
+        k = modulated_kernel("separable_cosine", dim)
+        w, _ = assembly.refined_pair_weights(k, g.centers, src, delta, g.h)
+        w0, _ = assembly.refined_pair_weights(frac_kernel(0.4, dim), g.centers, src,
+                                              delta, g.h)
+        ratio = float(np.max(w / w0))
+        assert 1.0 < ratio < k.Lambda
+        low = replace(k, Lambda=1.0 + 0.9 * (ratio - 1.0))
+        with pytest.raises(ValueError, match="certified band"):
+            assembly.refined_pair_weights(low, g.centers, src, delta, g.h)
 
 
 class TestTableEdgeCases:

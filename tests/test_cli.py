@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,35 @@ class TestRunScenario:
         assert sorted(seconds) == ["coarea", "comparison", "energy"]
         assert all(t >= 0 for t in seconds.values())
 
+    def test_diagnostics_record_warnings_and_residual_histories(self, tmp_path):
+        # the modulated-2d32 benchmark scenario: Lambda = 2 on boxes that
+        # touch the bounding box raises the box-margin warning
+        cfg = parse_config(write_config(
+            tmp_path, dimension=2, n=32, checks=["comparison", "energy"],
+            domain={"type": "boxes", "pieces": TestMemoryEstimate.BOXES},
+            kernel=TestMemoryEstimate.MODULATED))
+        with pytest.warns(UserWarning, match="box margin too small") as caught:
+            run_scenario(cfg, "elliptic")
+        diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        records = diag["warnings"]
+        assert len(records) == len(caught) == 1
+        assert records[0]["category"] == "UserWarning"
+        assert records[0]["phase"] == "assembly"
+        assert records[0]["message"] == str(caught[0].message)
+        solver = diag["solver"]
+        for side in ("u", "v"):
+            history = solver[f"residual_history_{side}"]
+            assert len(history) == solver[f"iterations_{side}"]
+            assert history[-1] == solver[f"residual_{side}"]
+
+    def test_quiet_run_records_no_warnings(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_scenario(cfg, "elliptic")
+        diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        assert diag["warnings"] == []
+
     def test_concentration_csv_columns(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
         run_scenario(cfg, "elliptic")
@@ -282,12 +312,16 @@ class TestMemoryEstimate:
 
     @pytest.mark.parametrize("dim,n,modulated,steps", [
         (2, 32, False, None), (2, 64, False, None), (1, 256, True, None),
-        (1, 1024, True, None), (1, 256, False, 100)])
+        (1, 1024, True, None), (1, 256, False, 100),
+        (2, 32, True, None), (1, 256, "rough_cosine", None)])
     def test_tracemalloc_peak_within_estimate(self, tmp_path, dim, n, modulated, steps):
-        # unmodulated: two table operators; modulated: a dense original
+        # unmodulated and rough_cosine: two table operators; separable_cosine
+        # (modulated True): a dense original
         extra = {"domain": {"type": "boxes", "pieces": self.BOXES}} if dim == 2 else {}
-        if modulated:
+        if modulated is True:
             extra["kernel"] = self.MODULATED
+        elif modulated:
+            extra["kernel"] = dict(self.MODULATED, modulation=modulated)
         checks = ["comparison", "energy", "polya_szego", "coarea"]
         if steps:
             extra["time"] = {"horizon": 1.0, "steps": steps}

@@ -11,6 +11,8 @@ from levysym.kernels import (
     Kernel,
     KernelDomainError,
     RadialProfile,
+    RoughCosine,
+    SeparableCosine,
     angular_kernel_average,
     ball_mass,
     ball_volume,
@@ -137,6 +139,21 @@ class TestEvalKernel:
                    modulation_tag="rough_cosine")
         with pytest.raises(ValueError):
             eval_kernel(k, 0.0, 1.0)
+
+    def test_named_modulations_carry_their_form(self):
+        rough = make_modulation("rough_cosine", 3.0, dim=2, omega=2.0)
+        sep = make_modulation("separable_cosine", 3.0, dim=2, omega=2.0)
+        assert rough == RoughCosine(amp=2.0, omega=2.0, dim=2)
+        assert sep == SeparableCosine(amp=2.0, omega=2.0, dim=2)
+        x, y = np.array([0.1, -0.4]), np.array([0.7, 0.2])
+        r = math.hypot(*(x - y))
+        assert rough(x, y) == pytest.approx(1.0 + (1.0 + math.cos(2.0 * r)), rel=1e-15)
+
+        def g(z):
+            return 0.5 * (1.0 + math.cos(2.0 * z.sum()))
+
+        assert sep(x, y) == pytest.approx(1.0 + 2.0 * g(x) * g(y), rel=1e-15)
+        assert make_modulation("none", 3.0, dim=2) is None
 
     def test_two_dimensional_points(self):
         k = Kernel(profile=RadialProfile.power(0.5, dimension=2))

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -427,3 +428,34 @@ class TestCsvRoundTrip:
         back = read_gridfunction_csv(p)
         direct = schwarz_rearrangement(f)
         assert np.array_equal(back.values, direct.values)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_bytes_match_per_cell_writer(self, tmp_path, dim):
+        # partial mask, negative and tiny values, a negative zero
+        if dim == 1:
+            g = interval_grid(48, half_width=1.5, inner=1.1)
+        else:
+            mask = np.random.default_rng(5).random((12, 12)) < 0.6
+            g = Grid(2, 0.7, 12, mask)
+        f = masked_function(g, seed=21, low=-3.0, high=3.0)
+        values = f.values.copy()
+        values[g.masked_indices[:3]] = [1e-300, -0.0, 1.0 / 3.0]
+        f = GridFunction(g, values)
+        write_gridfunction_csv(f, tmp_path / "fast.csv")
+        per_cell_writer(f, tmp_path / "ref.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def per_cell_writer(f, path):
+    """Reference grid CSV: one csv.writer row per cell, fields formatted one
+    at a time."""
+    grid, dim = f.grid, f.grid.dimension
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["i", "j"][:dim] + ["x", "y"][:dim] + ["value", "masked"])
+        for row in range(grid.cell_count):
+            rec = [str(int(grid.index_array[row, k])) for k in range(dim)]
+            rec += [f"{grid.centers[row, k]:.17g}" for k in range(dim)]
+            rec.append(f"{f.values[row]:.17g}")
+            rec.append("1" if grid.mask_flat[row] else "0")
+            writer.writerow(rec)
