@@ -14,24 +14,22 @@ constant has no variation inside a cell.
 On the uniform grid the envelope part of a far weight, J(h |i - j|),
 depends on the index offset i - j only, so the profile is evaluated once
 on the (2n - 1)^N integer offsets of the box (zero at Chebyshev distance
-<= 2).  Without modulation, and with a RoughCosine modulation a(|x - y|),
-the whole kernel a J is translation invariant, so every weight is
-T[p_i - p_j] for one table T: the far table (times a at the offset
-vectors) times the squared volume, with one near constant per offset,
-refined with a J, written in.  Such a table operator stores T and the
-Fourier symbol of its (2n)^N circulant embedding.  W x, the killing
-toward unmasked box cells and the linear system (a ToeplitzSystem) are
-FFT products, and rows of W are gathered from T on request, so no m x m
-array is built.
+<= 2).  Every grid operator stores that table T, times the squared volume,
+and the Fourier symbol of its (2n)^N circulant embedding, so T x is one
+FFT product (OffsetProduct) and rows of T are gathered on request.
 
-A SeparableCosine modulation 1 + amp g(x) g(y) multiplies the gathered far
-values pair by pair, and its near weights differ from row to row: each
+Without modulation, and with a RoughCosine modulation a(|x - y|), the
+whole kernel a J is translation invariant: T carries a at the offset
+vectors and one near constant per offset, refined with a J, and W = T.
+A SeparableCosine modulation 1 + amp g(x) g(y) gives
+W = T + amp G T G + N with G = diag(g) at the masked cells and N the
+sparse band of near weights, which differ from row to row: each
 refinement level builds them from three sums per offset (separable_rows).
-Separable and radial operators store the dense symmetric m x m W, and
-their system is the dense `matrix`.  assemble refuses any other
-modulation callable with a ValueError.  Outside DiscreteOperator, W is
-read only through pair_rows (rows of W) and weights_times (W x);
-weight_matrix and matrix are explicit materialisations for small m.
+Only radial operators store a dense symmetric m x m W.  assemble refuses
+any other modulation callable with a ValueError.  Outside
+DiscreteOperator, W is read only through pair_rows (rows of W) and
+weights_times (W x); weight_matrix and matrix are explicit
+materialisations for small m.
 
 Killing collects everything the masked cell sees outside the domain: the
 same pairwise weights toward unmasked in-box cells, plus the analytic
@@ -52,6 +50,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from .env import thread_setting
 from .kernels import (
@@ -71,8 +70,9 @@ from .rearrange import Grid, GridFunction
 __all__ = [
     "AssemblyError",
     "DiscreteOperator",
+    "OffsetProduct",
+    "OperatorSystem",
     "RadialGrid",
-    "ToeplitzSystem",
     "assemble",
     "assemble_radial",
     "build_rhs",
@@ -135,14 +135,16 @@ class RadialGrid:
 class DiscreteOperator:
     """Symmetric nonlocal stiffness operator over the masked cells.
 
-    pairs holds the pairwise weights W in one form.  When they depend on
-    the index offset only, symbol is the Fourier symbol of W (see
-    ToeplitzSystem) and pairs the offset table T over the (2n - 1)^N
-    offsets of the box, W_ij = T[zero + p_i - p_j] (see table_positions).
-    Otherwise symbol is None and pairs is the dense symmetric m x m W.
-    pair_rows and weights_times read W in either form without building
-    an m x m array.  kappa and cdiag are the killing and lower-order
-    diagonals, already volume-weighted.
+    On a grid, pairs is the offset table T over the (2n - 1)^N offsets of
+    the box, T_ij = T[zero + p_i - p_j] (see table_positions), and symbol
+    its Fourier symbol (see OffsetProduct).  W is T, or with a separable
+    modulation T + amp G T G + near, G = diag(g) over the masked cells and
+    near the sparse band of weights between masked cells at Chebyshev
+    index distance 1 or 2, where T is zero.  On a RadialGrid symbol is
+    None and pairs is the dense symmetric m x m W.  pair_rows and
+    weights_times read W in every form without building an m x m array.
+    kappa and cdiag are the killing and lower-order diagonals, already
+    volume-weighted.
     """
 
     grid: object
@@ -153,6 +155,9 @@ class DiscreteOperator:
     tail_interval: np.ndarray
     diagnostics: dict = field(default_factory=dict)
     symbol: np.ndarray | None = None
+    amp: float = 0.0
+    g: np.ndarray | None = None
+    near: sparse.csr_matrix | None = None
 
     def __post_init__(self):
         m = self.size
@@ -161,7 +166,10 @@ class DiscreteOperator:
         for name in ("kappa", "cdiag"):
             if getattr(self, name).shape != (m,):
                 raise ValueError(f"{name} must have one entry per masked cell")
-        if np.any(self.pairs < 0) or np.any(self.kappa < 0) or np.any(self.cdiag < 0):
+        if self.near is not None and (self.near.shape != (m, m) or self.g.shape != (m,)):
+            raise ValueError("the near band and g must match the masked cells")
+        if (np.any(self.pairs < 0) or np.any(self.kappa < 0) or np.any(self.cdiag < 0)
+                or (self.near is not None and np.any(self.near.data < 0))):
             raise ValueError("weights, kappa and cdiag must be nonnegative")
 
     @property
@@ -170,17 +178,36 @@ class DiscreteOperator:
 
     def pair_rows(self, rows) -> np.ndarray:
         """W[rows] for a slice or index array of masked cells: a slice of
-        the dense W, or gathered from the offset table."""
+        the dense W, or gathered from the offset table (times
+        1 + amp g_i g_j, plus the near band, when modulated)."""
         if self.symbol is None:
             return self.pairs[rows]
         midx = self.grid.masked_indices
-        return self.pairs[table_positions(self.grid, midx[rows], midx)]
+        W = self.pairs[table_positions(self.grid, midx[rows], midx)]
+        if self.near is not None:
+            # W + amp g_i g_j W, then the band, with one temporary block
+            scaled = W * self.g
+            scaled *= self.amp * self.g[rows][:, None]
+            W += scaled
+            band = self.near[rows].tocoo()
+            W[band.row, band.col] += band.data
+        return W
+
+    @cached_property
+    def table_product(self) -> "OffsetProduct":
+        """The FFT product with the offset table, built once per operator."""
+        return OffsetProduct(self.symbol, self.grid)
 
     def weights_times(self, x: np.ndarray) -> np.ndarray:
-        """W x: a dense product, or one FFT product through the symbol."""
+        """W x: a dense product, or one FFT product through the symbol
+        (three terms when modulated: T x + amp g T(g x) + N x)."""
         if self.symbol is None:
             return self.pairs @ x
-        return ToeplitzSystem(self.symbol, self.grid).weights_times(x)
+        y = self.table_product(x)
+        if self.near is not None:
+            y += self.amp * self.g * self.table_product(self.g * x)
+            y += self.near @ x
+        return y
 
     @property
     def weight_matrix(self) -> np.ndarray:
@@ -211,22 +238,12 @@ class DiscreteOperator:
     @cached_property
     def degree(self) -> np.ndarray:
         """Row sums of W."""
-        if self.symbol is None:
-            return self.pairs.sum(axis=1)
         return self.weights_times(np.ones(self.size))
 
-    def system(self, mass: np.ndarray | None = None):
-        """The matrix A + diag(mass) in the form pcg takes: a ToeplitzSystem
-        when the operator has a symbol, a dense array otherwise."""
+    def system(self, mass: np.ndarray | None = None) -> "OperatorSystem":
+        """The matrix A + diag(mass) in the form pcg takes."""
         cdiag = self.cdiag if mass is None else self.cdiag + mass
-        if self.symbol is not None:
-            return ToeplitzSystem(self.symbol, self.grid,
-                                  self.degree + self.kappa + cdiag)
-        if mass is None:
-            return self.matrix
-        A = np.negative(self.weight_matrix)
-        np.fill_diagonal(A, self.degree + self.kappa + cdiag)
-        return A
+        return OperatorSystem(self, self.degree + self.kappa + cdiag)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.system() @ x
@@ -236,18 +253,33 @@ class DiscreteOperator:
         return replace(self, cdiag=np.asarray(cdiag, dtype=np.float64))
 
 
-class ToeplitzSystem:
-    """diag - W over the masked cells of a grid, for weights W_ij =
-    T[p_i - p_j] that depend on the index offset only.
+class OperatorSystem:
+    """diag - W for an operator's weights W, with the shape, diagonal() and
+    @ that pcg uses; W x goes through the operator's weights_times."""
 
-    W x scatters x into a zero (2n)^N box, multiplies its rfftn by the
-    symbol of the circulant embedding of T and gathers the masked cells
-    of the irfftn back.  The box is twice the grid per axis, so no offset
-    between two cells wraps around.  Has the shape, diagonal() and @ that
-    pcg uses.
+    def __init__(self, op: DiscreteOperator, diag: np.ndarray):
+        self.op = op
+        self.diag = diag
+        self.shape = (op.size, op.size)
+
+    def diagonal(self) -> np.ndarray:
+        return self.diag
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.diag * x - self.op.weights_times(x)
+
+
+class OffsetProduct:
+    """T x over the masked cells of a grid, for weights T[p_i - p_j] that
+    depend on the index offset only.
+
+    Scatters x into a zero (2n)^N box, multiplies its rfftn by the symbol
+    of the circulant embedding of T and gathers the masked cells of the
+    irfftn back.  The box is twice the grid per axis, so no offset between
+    two cells wraps around.
     """
 
-    def __init__(self, symbol: np.ndarray, grid: Grid, diag: np.ndarray | None = None):
+    def __init__(self, symbol: np.ndarray, grid: Grid):
         n, dim = grid.n, grid.dimension
         self.strides = (2 * n) ** np.arange(dim - 1, -1, -1, dtype=np.int64)
         self.index = grid.index_array
@@ -255,14 +287,9 @@ class ToeplitzSystem:
         self.box = (2 * n,) * dim
         self.axes = tuple(range(dim))
         self.cells = self.index[grid.masked_indices] @ self.strides
-        self.diag = diag
-        self.shape = (self.cells.size, self.cells.size)
 
-    def diagonal(self) -> np.ndarray:
-        return self.diag
-
-    def weights_times(self, x, sources: np.ndarray | None = None) -> np.ndarray:
-        """W x on the masked cells; with sources (flat box cell ids) x sits on
+    def __call__(self, x, sources: np.ndarray | None = None) -> np.ndarray:
+        """T x on the masked cells; with sources (flat box cell ids) x sits on
         those cells instead: the weights toward them times x."""
         box = np.zeros(self.box)
         at = self.cells if sources is None else self.index[sources] @ self.strides
@@ -270,9 +297,6 @@ class ToeplitzSystem:
         y = np.fft.irfftn(self.symbol * np.fft.rfftn(box, axes=self.axes),
                           s=self.box, axes=self.axes)
         return y.reshape(-1)[self.cells]
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.diag * x - self.weights_times(x)
 
 
 def circulant_symbol(table: np.ndarray, n: int, dim: int) -> np.ndarray:
@@ -478,45 +502,10 @@ def far_offset_table(kernel: Kernel, grid: Grid) -> np.ndarray:
     return table
 
 
-def far_field(kernel: Kernel, grid: Grid) -> tuple:
-    """Midpoint rule against every box cell at Chebyshev index distance > 2:
-    (W, kappa) with the masked targets in the masked-cell matrix W and the
-    unmasked ones summed per row into kappa.
-
-    The weight of cells i, j is table[zero + p_i - p_j] (see
-    table_positions), times a(x_i, x_j) on separable kernels and the
-    squared volume.
-    """
-    table = far_offset_table(kernel, grid)
-    scale = grid.cell_volume ** 2
-    points = grid.centers[:, 0] if grid.dimension == 1 else grid.centers
-    midx = grid.masked_indices
-    outside = np.flatnonzero(~grid.mask_flat)
-
-    def block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        k = table[table_positions(grid, rows, cols)]
-        if isinstance(kernel.modulation, SeparableCosine):
-            # every pair of the block; the table is zero off the far offsets
-            k *= modulation_factor(kernel, points[rows][:, None], points[cols][None])
-        k *= scale
-        return k
-
-    W = np.zeros((midx.size, midx.size))
-    kappa = np.zeros(midx.size)
-    # blocks of ROW_BLOCK / 8 pairs: the gather and the modulation's
-    # temporaries take a few arrays of that size
-    step = max(1, ROW_BLOCK // (8 * grid.cell_count))
-    for lo in range(0, midx.size, step):
-        rows = midx[lo:lo + step]
-        W[lo:lo + step] = block(rows, midx)
-        if outside.size:
-            kappa[lo:lo + step] = block(rows, outside).sum(axis=1)
-    return W, kappa
-
-
-def near_field(kernel: Kernel, grid: Grid, W: np.ndarray, kappa: np.ndarray) -> dict:
-    """Refined near weights into W toward masked cells, from the lex-positive
-    side, and into kappa toward unmasked ones; returns the depth per offset."""
+def near_field(kernel: Kernel, grid: Grid, kappa: np.ndarray) -> tuple:
+    """Refined near weights of a separable kernel, from the lex-positive
+    side toward masked cells and into kappa toward unmasked ones.  Returns
+    (N, depth per offset), N the symmetric band as a sparse m x m matrix."""
     midx = grid.masked_indices
     # masked-local position of each flat cell, -1 when unmasked
     local = np.full(grid.cell_count, -1, dtype=np.int64)
@@ -524,6 +513,7 @@ def near_field(kernel: Kernel, grid: Grid, W: np.ndarray, kappa: np.ndarray) -> 
     strides = grid.n ** np.arange(grid.dimension - 1, -1, -1, dtype=np.int64)
     ivec = grid.index_array[midx]
     depths = {}
+    band = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)]
     for delta in near_offsets(grid.dimension):
         target = ivec + np.asarray(delta, dtype=np.int64)
         rows = np.flatnonzero(np.all((target >= 0) & (target < grid.n), axis=1))
@@ -536,10 +526,10 @@ def near_field(kernel: Kernel, grid: Grid, W: np.ndarray, kappa: np.ndarray) -> 
         wvals, depths[str(delta)] = refined_pair_weights(
             kernel, grid.centers, midx[rows], delta, grid.h)
         sel, cols = rows[tmasked], local[tflat[tmasked]]
-        W[sel, cols] = wvals[tmasked]
-        W[cols, sel] = wvals[tmasked]
+        band += [(sel, cols, wvals[tmasked]), (cols, sel, wvals[tmasked])]
         kappa[rows[~tmasked]] += wvals[~tmasked]
-    return depths
+    i, j, w = (np.concatenate(part) for part in zip(*band))
+    return sparse.csr_matrix((w, (i, j)), shape=(midx.size, midx.size)), depths
 
 
 def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> DiscreteOperator:
@@ -564,29 +554,40 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> Discr
     t0 = time.perf_counter()
     workers = thread_count()
     dim, n, vol, m = grid.dimension, grid.n, grid.cell_volume, grid.masked_count
-    if not isinstance(kernel.modulation, SeparableCosine):
-        pairs = far_offset_table(kernel, grid) * vol ** 2
-        t_far = time.perf_counter()
+    mod = kernel.modulation
+    separable = isinstance(mod, SeparableCosine)
+    pairs = far_offset_table(kernel, grid) * vol ** 2
+    t_far = time.perf_counter()
+    depths = {}
+    if not separable:
         # one near constant per lex-positive offset that fits in the table,
         # written at +delta and -delta; the source cell is immaterial
         table = pairs.reshape((2 * n - 1,) * dim)
-        depths = {}
         for delta in near_offsets(dim):
             if lex_positive(delta) and max(map(abs, delta)) < n:
                 wvals, depths[str(delta)] = refined_pair_weights(
                     kernel, grid.centers, np.zeros(1, dtype=np.int64), delta, grid.h)
                 d = np.asarray(delta)
                 table[tuple(n - 1 + d)] = table[tuple(n - 1 - d)] = wvals[0]
-        symbol = circulant_symbol(pairs, n, dim)
-        # killing toward the unmasked box cells: one FFT product with their
-        # indicator, clipped since rounding may take a zero sum below zero
-        kappa = np.maximum(ToeplitzSystem(symbol, grid).weights_times(
-            1.0, np.flatnonzero(~grid.mask_flat)), 0.0)
-    else:  # the far field and the per-row near field of a separable kernel
-        pairs, kappa = far_field(kernel, grid)
-        t_far = time.perf_counter()
-        depths = near_field(kernel, grid, pairs, kappa)
-        symbol = None
+    symbol = circulant_symbol(pairs, n, dim)
+    product = OffsetProduct(symbol, grid)
+    # killing toward the unmasked box cells: FFT products with their
+    # indicator, clipped since rounding may take a zero sum below zero
+    outside = np.flatnonzero(~grid.mask_flat)
+    kappa = product(1.0, outside)
+    g = near = None
+    if separable:
+        points = grid.centers[:, 0] if dim == 1 else grid.centers
+        gbox = mod.g(points)
+        # a(x_i, .) is affine in g, so the box cells of smallest and largest
+        # g bound a over every pair
+        extremes = points[[np.argmin(gbox), np.argmax(gbox)]]
+        modulation_factor(kernel, points[grid.masked_indices][:, None], extremes[None])
+        g = gbox[grid.masked_indices]
+        kappa += mod.amp * g * product(gbox[outside], outside)
+    kappa = np.maximum(kappa, 0.0)
+    if separable:
+        near, depths = near_field(kernel, grid, kappa)
     t_near = time.perf_counter()
 
     # analytic tail beyond the box, bracketed by the modulation band
@@ -621,7 +622,7 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> Discr
         "tail_to_kappa_median_ratio": med_tail / med_kappa if med_kappa > 0 else math.inf,
         "kappa_inbox_median": kappa_inbox_median,
         "box_margin_ok": bool(margin_ok),
-        "matvec": "dense" if symbol is None else "fft",
+        "matvec": "fft",
         "far_seconds": t_far - t0,
         "near_seconds": t_near - t_far,
         "tail_seconds": t_tail - t_near,
@@ -630,7 +631,8 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> Discr
     return DiscreteOperator(grid=grid, volumes=np.full(m, vol), pairs=pairs,
                             kappa=kappa, cdiag=cvals * vol,
                             tail_interval=np.stack([tail_lo, tail_hi], axis=1),
-                            diagnostics=diag, symbol=symbol)
+                            diagnostics=diag, symbol=symbol,
+                            amp=mod.amp if separable else 0.0, g=g, near=near)
 
 
 def shell_mass_from_point(profile: RadialProfile, dim: int, rho: float,

@@ -716,20 +716,17 @@ def run_phases(cfg, mode, log):
 
 
 def estimate_bytes(cfg):
-    """Peak array bytes of one level, from the representation assemble picks
-    and counted before anything big is allocated: (2n)^N box arrays, coarea
-    blocks of CUT_BLOCK rows of W and, in 2-D, tail blocks of ROW_BLOCK rays;
-    a separable_cosine operator, the one form kept dense, adds m x m pairs,
-    matrix and one transient copy and its far-field blocks (ROW_BLOCK / 8
-    pairs, a few arrays each), a parabolic run its per-step loads and
-    states.  Fixed I/O overhead (under 1 MB) is not counted."""
+    """Peak array bytes of one level, counted before anything big is
+    allocated.  Every grid operator stores an offset table and its symbol,
+    and a separable_cosine one adds O(m) vectors and a sparse band, so the
+    count is (2n)^N box arrays, coarea blocks of CUT_BLOCK rows of W, in
+    2-D tail blocks of ROW_BLOCK rays, and in a parabolic run its per-step
+    loads and states.  Fixed I/O overhead (under 1 MB) is not counted."""
     grid = scenario_grid(cfg)
     m, dim = grid.masked_count, grid.dimension
     floats = 8 * (2 * grid.n) ** dim + 4 * min(m, CUT_BLOCK) * m
     if dim == 2:
         floats += 10 * ROW_BLOCK
-    if cfg.kernel["modulation"] == "separable_cosine":
-        floats += 3 * m * m + ROW_BLOCK
     if cfg.time is not None:
         floats += 8 * cfg.time["steps"] * grid.cell_count
     return 8 * floats

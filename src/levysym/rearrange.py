@@ -153,10 +153,6 @@ class Grid:
             raise ValueError("radius must be nonnegative")
         return int(math.ceil(r / self.h - 1e-9))
 
-    def ball_cell_count(self, k: int) -> int:
-        """Number of cells with |center| <= k h, by exact integer keys."""
-        return int(np.searchsorted(self.sorted_radius_keys, 4 * k * k, side="right"))
-
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
@@ -214,13 +210,6 @@ class ConcentrationCurve(NamedTuple):
     @property
     def total(self) -> float:
         return float(self.integrals[-1])
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "integral"])
-            for r, v in zip(self.radii, self.integrals):
-                writer.writerow([f"{r:.17g}", f"{v:.17g}"])
 
 
 class DominationReport(NamedTuple):

@@ -6,10 +6,11 @@ deterministic.  The parabolic march is implicit Euler: each step solves
 the elliptic system shifted by the volume-weighted mass over the step
 size, which stays symmetric positive definite for every step size.
 
-Both solve the operator's `system`: for a translation-invariant operator
-(unmodulated or rough_cosine) a ToeplitzSystem whose products go
-through the FFT, for a separable_cosine or radial one the dense matrix.  The mass shift is a diagonal added to that
-system once per march.
+Both solve the operator's `system`, an OperatorSystem whose products go
+through the operator's weights_times: FFT products with the offset table
+on a grid (two more and a sparse band product for separable_cosine), a
+dense product on a radial grid.  The mass shift is a diagonal added to
+that system once per march.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ class SolverError(RuntimeError):
 def pcg(A, b: np.ndarray, tol: float, max_iter: int):
     """Jacobi-preconditioned conjugate gradients from the zero vector.
 
-    A is anything with `shape`, `diagonal()` and `@`: a dense array or a
-    ToeplitzSystem.  Returns (x, iterations, relative_residual, history).
+    A is anything with `shape`, `diagonal()` and `@`: an OperatorSystem or
+    a dense array.  Returns (x, iterations, relative_residual, history).
     Raises SolverError with the residual history when max_iter is exhausted.
     The load is scaled by a power of two to max |b| in [1/2, 1) first, so
     tiny loads neither underflow nor change the iterates' rounding.

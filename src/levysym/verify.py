@@ -375,7 +375,7 @@ def check_coarea(op: DiscreteOperator, u: GridFunction, mode: str = "plain",
     if mode == "truncated":
         if height is None:
             raise ValueError("truncated mode needs a height")
-        vals = np.minimum(height, np.maximum(0.0, vals - level))
+        vals = masked_vector(op.grid, truncate(u, level, height))
     elif mode != "plain":
         raise ValueError("mode must be 'plain' or 'truncated'")
     pairs = 0.0

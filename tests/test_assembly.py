@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, sparse
 
 import levysym.assembly as assembly
 from levysym.assembly import (
@@ -149,6 +149,12 @@ def two_piece_grid(dim):
     return Grid(2, 1.0, 16, mask.reshape(16, 16))
 
 
+def near_band(grid):
+    """Masked-cell pairs at Chebyshev index distance <= 2, self pairs included."""
+    idx = grid.index_array[grid.masked_indices]
+    return np.max(np.abs(idx[:, None, :] - idx[None, :, :]), axis=2) <= 2
+
+
 def direct_far_field(kernel, grid):
     """Reference far field: the midpoint rule evaluated pair by pair against
     every box cell at Chebyshev index distance > 2."""
@@ -174,17 +180,13 @@ class TestOffsetTable:
     def test_far_field_matches_direct_pairs(self, dim, tag, monkeypatch):
         g = two_piece_grid(dim)
         k = modulated_kernel(tag, dim) if tag != "none" else frac_kernel(0.4, dim=dim)
+        op = assemble(k, g, None)
         # small row blocks so the gathers cross several block boundaries
         monkeypatch.setattr(assembly, "ROW_BLOCK", 1000)
-        W, kappa = assembly.far_field(k, g)
-        monkeypatch.undo()
-        W_ref, kappa_ref = direct_far_field(k, g)
-        np.testing.assert_allclose(W, W_ref, rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(kappa, kappa_ref, rtol=1e-13, atol=0.0)
-        # the assembled operator carries exactly these far weights
-        op = assemble(k, g, None)
-        far = W_ref > 0
-        assert np.array_equal(op.weight_matrix[far], W[far])
+        far = ~near_band(g)
+        W_ref, _ = direct_far_field(k, g)
+        np.testing.assert_allclose(op.weight_matrix[far], W_ref[far], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(op.kappa, direct_kappa(k, g), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("prof", [RadialProfile.power(0.3, dimension=2),
                                       RadialProfile.exponential(1.5, dimension=2)])
@@ -212,23 +214,33 @@ class TestOffsetTable:
 
 def fourier_cases():
     """Unmodulated operators on masked 1-D and 2-D grids, a centered ball
-    and a grid with a nonzero lower-order coefficient."""
+    and a grid with a nonzero lower-order coefficient, and separable_cosine
+    operators with that coefficient."""
     g2 = two_piece_grid(2)
     c = GridFunction.from_callable(g2, lambda x, y: 1.0 + x * x + 0.5 * y)
+    g1 = two_piece_grid(1)
+    c1 = GridFunction.from_callable(g1, lambda x: 1.0 + x * x)
     return {
-        "masked-1d": assemble(frac_kernel(0.4), two_piece_grid(1), None),
+        "masked-1d": assemble(frac_kernel(0.4), g1, None),
         "masked-2d": assemble(frac_kernel(0.4, dim=2), g2, None),
         "ball": assemble(frac_kernel(0.3, dim=2), g2.ball_grid, None),
         "with-c": assemble(frac_kernel(0.6, dim=2), g2, c),
+        "separable-1d": assemble(modulated_kernel("separable_cosine", 1), g1, c1),
+        "separable-2d": assemble(modulated_kernel("separable_cosine", 2), g2, c),
     }
 
 
+FOURIER_CASES = ["masked-1d", "masked-2d", "ball", "with-c", "separable-1d", "separable-2d"]
+
+
 class TestToeplitzSystem:
+    """OperatorSystem products, diagonals and mass shifts against op.matrix."""
+
     @pytest.fixture(scope="class")
     def cases(self):
         return fourier_cases()
 
-    @pytest.mark.parametrize("name", ["masked-1d", "masked-2d", "ball", "with-c"])
+    @pytest.mark.parametrize("name", FOURIER_CASES)
     def test_matvec_matches_dense(self, cases, name):
         op = cases[name]
         assert op.diagnostics["matvec"] == "fft"
@@ -238,7 +250,7 @@ class TestToeplitzSystem:
             got = op.matvec(x)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("name", ["masked-1d", "masked-2d", "ball", "with-c"])
+    @pytest.mark.parametrize("name", FOURIER_CASES)
     def test_diagonal_matches_dense(self, cases, name):
         op = cases[name]
         np.testing.assert_allclose(op.system().diagonal(), np.diag(op.matrix),
@@ -257,20 +269,25 @@ class TestToeplitzSystem:
         np.testing.assert_allclose(shifted.system().diagonal(),
                                    op.system(mass).diagonal(), rtol=1e-15, atol=0.0)
 
-    @pytest.mark.parametrize("tag", ["separable_cosine"])
-    def test_modulated_operators_stay_dense(self, tag):
-        op = assemble(modulated_kernel(tag, 1), two_piece_grid(1), None)
-        assert op.diagnostics["matvec"] == "dense"
-        assert op.symbol is None
-        assert op.system() is op.matrix
-        mass = np.full(op.size, 2.0)
-        np.testing.assert_allclose(op.system(mass), op.matrix + np.diag(mass),
-                                   rtol=1e-15, atol=0.0)
+    @pytest.mark.parametrize("name", ["separable-1d", "separable-2d"])
+    def test_separable_system_matches_dense(self, cases, name):
+        op = cases[name]
+        assert op.symbol is not None and op.near is not None
+        mass = np.linspace(1.0, 3.0, op.size)
+        x = np.random.default_rng(9).normal(size=op.size)
+        for want, got in ((op.matrix @ x, op.system() @ x),
+                          (op.matrix @ x + mass * x, op.system(mass) @ x)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        np.testing.assert_allclose(op.system(mass).diagonal(), np.diag(op.matrix) + mass,
+                                   rtol=1e-14, atol=0.0)
 
     def test_radial_operator_stays_dense(self):
         rad = assemble_radial(RadialProfile.power(0.4, dimension=2), 1.0, 12, None, 2)
         assert rad.diagnostics["matvec"] == "dense"
-        assert rad.system() is rad.matrix
+        assert rad.symbol is None and rad.pairs.shape == (rad.size, rad.size)
+        x = np.random.default_rng(10).normal(size=rad.size)
+        want = rad.matrix @ x
+        assert np.max(np.abs(rad.system() @ x - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def pair_energy(op, u):
@@ -308,42 +325,42 @@ class TestStoredPairs:
                                       "rough_cosine", "radial"])
     def test_energy_matches_pair_sum(self, cases, name):
         op = cases[name]
-        assert (op.symbol is not None) == (name in ("table-2d", "rough_cosine"))
+        assert (op.symbol is not None) == (name != "radial")
         rng = np.random.default_rng(11)
         for u in (rng.normal(size=op.size), rng.uniform(0.0, 1.0, op.size)):
             assert energy(op, u) == pytest.approx(pair_energy(op, u), rel=1e-12)
 
     def test_table_operator_holds_no_dense_array(self):
         g = two_piece_grid(2)
-        op = assemble(frac_kernel(0.4, dim=2), g, None)
-        assert op.pairs.shape == ((2 * g.n - 1) ** 2,)
-        assert dense_arrays(op) == []
-        energy(op, np.random.default_rng(3).normal(size=op.size))
-        assert "weight_matrix" not in vars(op)
-        assert dense_arrays(op) == []
-        # the dense weights are gathered on request and cached by name
-        W = op.weight_matrix
-        assert dense_arrays(op) == ["weight_matrix"]
-        assert op.weight_matrix is W
+        for k in (frac_kernel(0.4, dim=2), modulated_kernel("separable_cosine", 2)):
+            op = assemble(k, g, None)
+            assert op.pairs.shape == ((2 * g.n - 1) ** 2,)
+            assert dense_arrays(op) == []
+            energy(op, np.random.default_rng(3).normal(size=op.size))
+            assert "weight_matrix" not in vars(op)
+            assert dense_arrays(op) == []
+            # the dense weights are gathered on request and cached by name
+            W = op.weight_matrix
+            assert dense_arrays(op) == ["weight_matrix"]
+            assert op.weight_matrix is W
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_gathered_weights_match_far_field(self, dim, monkeypatch):
         g = two_piece_grid(dim)
         k = frac_kernel(0.4, dim=dim)
-        W, _ = assembly.far_field(k, g)
+        W, _ = direct_far_field(k, g)
         op = assemble(k, g, None)
         # small row blocks so the gather crosses several block boundaries
         monkeypatch.setattr(assembly, "ROW_BLOCK", 1000)
         gathered = op.weight_matrix
-        idx = g.index_array[g.masked_indices]
-        band = np.max(np.abs(idx[:, None, :] - idx[None, :, :]), axis=2) <= 2
-        assert np.array_equal(gathered[~band], W[~band])
+        band = near_band(g)
+        np.testing.assert_allclose(gathered[~band], W[~band], rtol=1e-13, atol=0.0)
         assert np.array_equal(gathered, gathered.T)
         assert not np.any(np.diag(gathered))
         assert np.all(gathered[band & ~np.eye(op.size, dtype=bool)] > 0)
 
     def test_dense_pairs_must_be_square(self, cases):
-        op = cases["separable_cosine"]
+        op = cases["radial"]
         with pytest.raises(ValueError, match="m x m"):
             replace(op, pairs=op.pairs[:-1])
 
@@ -433,6 +450,20 @@ def reference_near(kernel, grid):
     return out, depths
 
 
+def reference_weights(kernel, grid, near):
+    """Dense W and in-box kappa from direct_far_field plus the reference near
+    weights of reference_near, pair by pair."""
+    W, kappa = direct_far_field(kernel, grid)
+    local = np.full(grid.cell_count, -1)
+    local[grid.masked_indices] = np.arange(grid.masked_count)
+    for src, tflat, w in near.values():
+        to_masked = grid.mask_flat[tflat]
+        rows, cols = local[src[to_masked]], local[tflat[to_masked]]
+        W[rows, cols] = W[cols, rows] = w[to_masked]
+        np.add.at(kappa, local[src[~to_masked]], w[~to_masked])
+    return W, kappa
+
+
 def mutant_rows(kind):
     """assembly.separable_rows with one deliberate fault ("exact": none)."""
     def rows(mod, xi, xj, c0, C, S):
@@ -494,6 +525,25 @@ class TestModulationForms:
             worst = max(worst, float(np.max(np.abs(got - want) / want)))
         assert (worst <= 1e-13) == (kind == "exact")
 
+    @pytest.mark.parametrize("kind", ["exact", "no-GTG", "no-band"])
+    def test_separable_operator_mutants_fail(self, separable, kind):
+        # W = T + amp G T G + N against the pairwise reference, with one
+        # term of the stored form dropped ("exact": none)
+        g, k, ref, _ = separable[2]
+        op = assemble(k, g, None)
+        if kind == "no-GTG":
+            op = replace(op, amp=0.0)
+        elif kind == "no-band":
+            op = replace(op, near=sparse.csr_matrix(op.near.shape))
+        W, _ = reference_weights(k, g, ref)
+        x = np.random.default_rng(12).normal(size=op.size)
+        want = W @ x
+        worst = max(float(np.max(np.abs(op.weights_times(x) - want))
+                          / np.max(np.abs(want))),
+                    float(np.max(np.abs(op.pair_rows(slice(0, op.size)) - W))
+                          / np.max(W)))
+        assert (worst <= 1e-13) == (kind == "exact")
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_rough_cosine_table_matches_dense_reference(self, dim):
         g = two_piece_grid(dim)
@@ -504,14 +554,7 @@ class TestModulationForms:
         x = np.random.default_rng(4).normal(size=op.size)
         y = op.matvec(x)
         assert dense_arrays(op) == []
-        W, kappa = direct_far_field(k, g)
-        local = np.full(g.cell_count, -1)
-        local[g.masked_indices] = np.arange(g.masked_count)
-        for delta, (src, tflat, w) in reference_near(k, g)[0].items():
-            to_masked = g.mask_flat[tflat]
-            rows, cols = local[src[to_masked]], local[tflat[to_masked]]
-            W[rows, cols] = W[cols, rows] = w[to_masked]
-            np.add.at(kappa, local[src[~to_masked]], w[~to_masked])
+        W, kappa = reference_weights(k, g, reference_near(k, g)[0])
         np.testing.assert_allclose(op.weight_matrix, W, rtol=1e-13, atol=0.0)
         tail = g.cell_volume * assembly.box_tail_density(k, g)
         np.testing.assert_allclose(op.kappa, kappa + 0.5 * (1.0 + k.Lambda) * tail,

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from levysym.cli import (ConfigError, ScenarioError, estimate_bytes, main,
-                         parse_config, refine_sweep, run_scenario, step_averages)
+                         parse_config, refine_sweep, run_scenario, scenario_grid,
+                         step_averages)
 from levysym.rearrange import (Grid, GridFunction, read_gridfunction_csv,
                                write_gridfunction_csv)
 from levysym.solvers import TimeGrid
@@ -153,8 +154,9 @@ class TestRunScenario:
                     "modulation": "separable_cosine"}))
         run_scenario(cfg, "elliptic")
         diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
-        # the symmetrized operator drops the modulation
-        assert diag["assembly"]["original"]["matvec"] == "dense"
+        # the separable original is an offset-table operator like the
+        # symmetrized one, which drops the modulation
+        assert diag["assembly"]["original"]["matvec"] == "fft"
         assert diag["assembly"]["symmetrized"]["matvec"] == "fft"
         seconds = diag["checks"]["seconds"]
         assert sorted(seconds) == ["coarea", "comparison", "energy"]
@@ -315,8 +317,8 @@ class TestMemoryEstimate:
         (1, 1024, True, None), (1, 256, False, 100),
         (2, 32, True, None), (1, 256, "rough_cosine", None)])
     def test_tracemalloc_peak_within_estimate(self, tmp_path, dim, n, modulated, steps):
-        # unmodulated and rough_cosine: two table operators; separable_cosine
-        # (modulated True): a dense original
+        # two offset-table operators; separable_cosine (modulated True) adds
+        # a sparse near band and the g vector to the original
         extra = {"domain": {"type": "boxes", "pieces": self.BOXES}} if dim == 2 else {}
         if modulated is True:
             extra["kernel"] = self.MODULATED
@@ -335,6 +337,14 @@ class TestMemoryEstimate:
         finally:
             tracemalloc.stop()
         assert peak <= estimate_bytes(cfg)
+
+    def test_separable_n128_under_default_cap(self, tmp_path):
+        # the modulated-2d32 benchmark geometry refined to n = 128 (m = 11,136)
+        cfg = parse_config(write_config(
+            tmp_path, dimension=2, n=128, checks=["comparison", "energy", "polya_szego"],
+            domain={"type": "boxes", "pieces": self.BOXES}, kernel=self.MODULATED))
+        assert scenario_grid(cfg).masked_count == 11136
+        assert estimate_bytes(cfg) <= cfg.memory_cap_gb * 2.0 ** 30
 
 
 class TestRefineSweep:

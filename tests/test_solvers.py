@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from levysym.assembly import assemble, assemble_radial, build_rhs, energy
-from levysym.kernels import Kernel, RadialProfile
+from levysym.kernels import Kernel, RadialProfile, make_modulation
 from levysym.rearrange import (Grid, GridFunction, read_gridfunction_csv,
                                schwarz_rearrangement)
 from levysym.solvers import (EllipticSolution, SolverError, TimeGrid,
@@ -465,19 +465,24 @@ def test_write_trajectory_radial(tmp_path):
 
 
 def two_piece_ops():
-    """Unmodulated FFT-path operators on a masked 1-D and 2-D grid."""
+    """FFT-path operators on a masked 1-D and 2-D grid: unmodulated, and
+    separable_cosine on the 2-D grid."""
     x = box_grid(64).centers[:, 0]
     g1 = box_grid(64, mask=(x < -0.3) | (x > 0.1))
     c = box_grid(16, dim=2).centers
     g2 = box_grid(16, dim=2,
                   mask=((c[:, 0] < -0.2) | ((c[:, 1] > 0.3) & (c[:, 0] < 0.6))
                         ).reshape(16, 16))
+    separable = Kernel(profile=RadialProfile.power(0.3, dimension=2), Lambda=2.0,
+                       modulation=make_modulation("separable_cosine", 2.0, 2),
+                       modulation_tag="separable_cosine")
     return [assemble(power_kernel(0.4), g1),
             assemble(power_kernel(0.3, dim=2), g2,
-                     GridFunction.constant(g2, 0.5))]
+                     GridFunction.constant(g2, 0.5)),
+            assemble(separable, g2, GridFunction.constant(g2, 0.5))]
 
 
-@pytest.mark.parametrize("index", [0, 1])
+@pytest.mark.parametrize("index", [0, 1, 2])
 def test_parabolic_fft_march_matches_dense_march(index):
     op = two_piece_ops()[index]
     assert op.diagnostics["matvec"] == "fft"
@@ -495,7 +500,7 @@ def test_parabolic_fft_march_matches_dense_march(index):
         assert np.max(np.abs(traj.states[n] - u)) <= 1e-12 * np.max(np.abs(u))
 
 
-@pytest.mark.parametrize("index", [0, 1])
+@pytest.mark.parametrize("index", [0, 1, 2])
 def test_elliptic_fft_solve_skips_dense_matrix(index):
     op = two_piece_ops()[index]
     f = GridFunction.constant(op.grid, 1.0)

@@ -469,6 +469,15 @@ class TestCoarea:
         with pytest.raises(ValueError):
             check_coarea(op, u)
 
+    @pytest.mark.parametrize("level,height", [(0.0, -1.0), (0.1, 0.0), (-0.1, 1.0)])
+    def test_truncated_mode_validated_like_truncate(self, level, height):
+        grid, op = self.setup_op()
+        u = GridFunction(grid, np.where(grid.mask_flat, 0.5, 0.0))
+        with pytest.raises(ValueError, match="level >= 0 and height > 0"):
+            truncate(u, level, height)
+        with pytest.raises(ValueError, match="level >= 0 and height > 0"):
+            check_coarea(op, u, "truncated", level=level, height=height)
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_incremental_cut_matches_per_level_perimeters(self, dim, monkeypatch):
         # small row blocks so the cut crosses several block boundaries
@@ -579,16 +588,23 @@ class TestLevelSet:
                                        f, [0.0])
 
 
-def table_pair(dim):
-    """Unmodulated original and ball operators: two intervals at n = 40 in
-    1-D, an L shape at n = 12 in 2-D."""
+def table_pair(dim, tag="none"):
+    """Original and ball operators, unmodulated or with the named modulation
+    at Lambda = 2: two intervals at n = 40 in 1-D, an L shape at n = 12 in
+    2-D."""
     if dim == 1:
         grid = interval_domain(40, [(-0.9, -0.2), (0.1, 0.7)])
     else:
         c = box_grid(12, dim=2).centers
         grid = box_grid(12, dim=2, mask=((c[:, 0] < 0.3) | (c[:, 1] > 0.5)).reshape(12, 12))
     kernel = power_kernel(0.4, dim=dim)
+    if tag != "none":
+        kernel = Kernel(profile=kernel.profile, Lambda=2.0,
+                        modulation=make_modulation(tag, 2.0, dim), modulation_tag=tag)
     return grid, assemble(kernel, grid), assemble(kernel, grid.ball_grid)
+
+
+READER_TAGS = ("none", "separable_cosine")
 
 
 class TestTableReaders:
@@ -596,55 +612,60 @@ class TestTableReaders:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_checks_hold_no_dense_array(self, dim):
-        grid, op_u, op_v = table_pair(dim)
-        f = GridFunction.constant(grid, 1.0)
-        fs = schwarz_rearrangement(f)
-        u, v = solve_elliptic(op_u, f), solve_elliptic(op_v, fs)
-        top = float(np.max(u.vector))
-        check_comparison(u.function, v.function)
-        check_energy_comparison(op_u, u.vector, op_v, v.vector)
-        check_polya_szego(op_u, op_v, u.function)
-        assert check_coarea(op_u, u.function).passed
-        assert check_coarea(op_u, u.function, "truncated", level=0.2 * top,
-                            height=0.5 * top).passed
-        check_level_set_inequality(op_v, schwarz_rearrangement(u.function),
-                                   np.zeros(op_v.size), fs, [0.3 * top, 0.7 * top])
-        for op in (op_u, op_v):
-            assert op.symbol is not None
-            assert all(a.size < op.size * (op.size - 1) // 2
-                       for a in vars(op).values() if isinstance(a, np.ndarray))
+        for tag in READER_TAGS:
+            grid, op_u, op_v = table_pair(dim, tag)
+            f = GridFunction.constant(grid, 1.0)
+            fs = schwarz_rearrangement(f)
+            u, v = solve_elliptic(op_u, f), solve_elliptic(op_v, fs)
+            top = float(np.max(u.vector))
+            check_comparison(u.function, v.function)
+            check_energy_comparison(op_u, u.vector, op_v, v.vector)
+            check_polya_szego(op_u, op_v, u.function)
+            assert check_coarea(op_u, u.function).passed
+            assert check_coarea(op_u, u.function, "truncated", level=0.2 * top,
+                                height=0.5 * top).passed
+            check_level_set_inequality(op_v, schwarz_rearrangement(u.function),
+                                       np.zeros(op_v.size), fs, [0.3 * top, 0.7 * top])
+            for op in (op_u, op_v):
+                assert op.symbol is not None
+                assert (op.near is not None) == (tag == "separable_cosine")
+                assert all(a.size < op.size * (op.size - 1) // 2
+                           for a in vars(op).values() if isinstance(a, np.ndarray))
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_table_and_dense_readers_agree(self, dim, monkeypatch):
         # small row blocks so the gathers cross several block boundaries
         monkeypatch.setattr(verify, "CUT_BLOCK", 7)
-        grid, op_u, op_v = table_pair(dim)
-        rng = np.random.default_rng(40 + dim)
-        for op in (op_u, op_v):
-            dense = replace(op, pairs=op.weight_matrix, symbol=None)
-            vals = 0.25 * rng.integers(0, 6, op.size)
-            inside = vals > 0.6
-            assert verify.perimeter_of(op, inside) == pytest.approx(
-                verify.perimeter_of(dense, inside), rel=1e-12)
-            np.testing.assert_allclose(verify.prefix_cuts(op, vals),
-                                       verify.prefix_cuts(dense, vals),
-                                       rtol=1e-12, atol=0.0)
-            full = np.zeros(op.grid.cell_count)
-            full[op.grid.masked_indices] = vals
-            u = GridFunction(op.grid, full)
-            for mode, kw in (("plain", {}), ("truncated", {"level": 0.25, "height": 0.5})):
-                a, b = check_coarea(op, u, mode, **kw), check_coarea(dense, u, mode, **kw)
-                assert a.passed and b.passed
-                assert abs(a.slack - b.slack) <= 1e-12
-        f = GridFunction.constant(grid, 1.0)
-        us = schwarz_rearrangement(solve_elliptic(op_u, f).function)
-        fs = schwarz_rearrangement(f)
-        dense_v = replace(op_v, pairs=op_v.weight_matrix, symbol=None)
-        zeros = np.zeros(op_v.size)
-        levels = np.linspace(0.2, 0.8, 4) * float(np.max(us.values))
-        for a, b in zip(check_level_set_inequality(op_v, us, zeros, fs, levels),
-                        check_level_set_inequality(dense_v, us, zeros, fs, levels)):
-            assert a.slack == pytest.approx(b.slack, rel=1e-12, abs=1e-12)
+        for tag in READER_TAGS:
+            grid, op_u, op_v = table_pair(dim, tag)
+            rng = np.random.default_rng(40 + dim)
+            for op in (op_u, op_v):
+                dense = replace(op, pairs=op.weight_matrix, symbol=None)
+                vals = 0.25 * rng.integers(0, 6, op.size)
+                inside = vals > 0.6
+                assert verify.perimeter_of(op, inside) == pytest.approx(
+                    verify.perimeter_of(dense, inside), rel=1e-12)
+                np.testing.assert_allclose(verify.prefix_cuts(op, vals),
+                                           verify.prefix_cuts(dense, vals),
+                                           rtol=1e-12, atol=0.0)
+                full = np.zeros(op.grid.cell_count)
+                full[op.grid.masked_indices] = vals
+                u = GridFunction(op.grid, full)
+                for mode, kw in (("plain", {}),
+                                 ("truncated", {"level": 0.25, "height": 0.5})):
+                    a = check_coarea(op, u, mode, **kw)
+                    b = check_coarea(dense, u, mode, **kw)
+                    assert a.passed and b.passed
+                    assert abs(a.slack - b.slack) <= 1e-12
+            f = GridFunction.constant(grid, 1.0)
+            us = schwarz_rearrangement(solve_elliptic(op_u, f).function)
+            fs = schwarz_rearrangement(f)
+            dense_v = replace(op_v, pairs=op_v.weight_matrix, symbol=None)
+            zeros = np.zeros(op_v.size)
+            levels = np.linspace(0.2, 0.8, 4) * float(np.max(us.values))
+            for a, b in zip(check_level_set_inequality(op_v, us, zeros, fs, levels),
+                            check_level_set_inequality(dense_v, us, zeros, fs, levels)):
+                assert a.slack == pytest.approx(b.slack, rel=1e-12, abs=1e-12)
 
 
 class TestPhi:
