@@ -14,13 +14,14 @@ import csv
 import json
 import math
 import os
+import resource
 import sys
 import time
 import warnings
 
 import numpy as np
 
-from levysym.assembly import ROW_BLOCK, AssemblyError, assemble
+from levysym.assembly import ROW_BLOCK, TAIL_ANGLES, AssemblyError, assemble
 from levysym.env import thread_setting
 from levysym.kernels import (IntegrabilityError, Kernel, KernelDomainError,
                              RadialProfile, make_modulation, rearrange_profile)
@@ -637,6 +638,7 @@ def run_phases(cfg, mode, log):
             "residual_u": u_sol.residual_norm, "residual_v": v_sol.residual_norm,
             "residual_history_u": u_sol.residual_history,
             "residual_history_v": v_sol.residual_history,
+            "cg_iters": u_sol.iterations + v_sol.iterations,
         }
     else:
         timegrid = TimeGrid(cfg.time["horizon"], cfg.time["steps"])
@@ -654,6 +656,8 @@ def run_phases(cfg, mode, log):
         diagnostics["solver"] = {
             "iterations_u": traj_u.iterations, "iterations_v": traj_v.iterations,
             "residual_u": max(traj_u.residuals), "residual_v": max(traj_v.residuals),
+            "residuals_u": traj_u.residuals, "residuals_v": traj_v.residuals,
+            "cg_iters": sum(traj_u.iterations) + sum(traj_v.iterations),
         }
     diagnostics["solver"]["seconds"] = time.perf_counter() - t_solve
 
@@ -699,6 +703,10 @@ def run_phases(cfg, mode, log):
                              "failed": sum(not r.passed for r in reports),
                              "seconds": check_seconds}
     diagnostics["warnings"] = log.records
+    # ru_maxrss is the process high-water mark in KiB
+    diagnostics["memory"] = {
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "estimate_bytes": estimate_bytes(cfg)}
     diagnostics["total_seconds"] = time.perf_counter() - t_start
     with open(os.path.join(outdir, "diagnostics.json"), "w") as fh:
         json.dump(json_ready(diagnostics), fh, indent=2, sort_keys=True)
@@ -720,13 +728,18 @@ def estimate_bytes(cfg):
     allocated.  Every grid operator stores an offset table and its symbol,
     and a separable_cosine one adds O(m) vectors and a sparse band, so the
     count is (2n)^N box arrays, coarea blocks of CUT_BLOCK rows of W, in
-    2-D tail blocks of ROW_BLOCK rays, and in a parabolic run its per-step
-    loads and states.  Fixed I/O overhead (under 1 MB) is not counted."""
+    2-D tail blocks of TAIL_ANGLES rays per orbit representative, and in a
+    parabolic run its per-step loads and states.  Fixed I/O overhead (under
+    1 MB) is not counted."""
     grid = scenario_grid(cfg)
     m, dim = grid.masked_count, grid.dimension
     floats = 8 * (2 * grid.n) ** dim + 4 * min(m, CUT_BLOCK) * m
     if dim == 2:
-        floats += 10 * ROW_BLOCK
+        # orbit representatives of the square's symmetries: at most m, and
+        # at most the k(k + 1)/2 cells of one eighth of the square
+        k = (grid.n + 1) // 2
+        reps = min(m, k * (k + 1) // 2, ROW_BLOCK // TAIL_ANGLES)
+        floats += 10 * reps * TAIL_ANGLES
     if cfg.time is not None:
         floats += 8 * cfg.time["steps"] * grid.cell_count
     return 8 * floats

@@ -1,10 +1,14 @@
 """Elliptic and parabolic solvers for the discrete nonlocal operator.
 
 The elliptic solve is hand-rolled Jacobi-preconditioned conjugate
-gradients with a fixed zero initial guess, so repeated runs are bitwise
-deterministic.  The parabolic march is implicit Euler: each step solves
-the elliptic system shifted by the volume-weighted mass over the step
-size, which stays symmetric positive definite for every step size.
+gradients from the zero vector.  The parabolic march is implicit Euler:
+each step solves the elliptic system shifted by the volume-weighted mass
+over the step size, which stays symmetric positive definite for every
+step size, starting CG from the linear extrapolation 2 u_n - u_{n-1} of
+the two previous states (u_0 for the first step).  Every solve stops on
+its full residual relative to its load, and the march's guess is a fixed
+function of earlier states, so repeated runs of both are bitwise
+deterministic.
 
 Both solve the operator's `system`, an OperatorSystem whose products go
 through the operator's weights_times: FFT products with the offset table
@@ -47,14 +51,19 @@ class SolverError(RuntimeError):
         self.residual_history = tuple(residual_history)
 
 
-def pcg(A, b: np.ndarray, tol: float, max_iter: int):
-    """Jacobi-preconditioned conjugate gradients from the zero vector.
+def pcg(A, b: np.ndarray, tol: float, max_iter: int,
+        x0: np.ndarray | None = None):
+    """Jacobi-preconditioned conjugate gradients from x0, or from the zero
+    vector when x0 is None.
 
     A is anything with `shape`, `diagonal()` and `@`: an OperatorSystem or
     a dense array.  Returns (x, iterations, relative_residual, history).
-    Raises SolverError with the residual history when max_iter is exhausted.
-    The load is scaled by a power of two to max |b| in [1/2, 1) first, so
-    tiny loads neither underflow nor change the iterates' rounding.
+    Stops at the first iterate whose residual is at most tol times the
+    norm of b, whatever x0 is; an x0 that already passes is returned as it
+    is with 0 iterations.  Raises SolverError with the residual history
+    when max_iter is exhausted.  The load and x0 are scaled by the same
+    power of two to max |b| in [1/2, 1) first, so tiny loads neither
+    underflow nor change the iterates' rounding.
     """
     big = float(np.max(np.abs(b))) if b.size else 0.0
     if big == 0.0:
@@ -65,8 +74,15 @@ def pcg(A, b: np.ndarray, tol: float, max_iter: int):
     d = A.diagonal()
     if np.any(d <= 0):
         raise SolverError("system diagonal is not positive")
-    x = np.zeros_like(b)
-    r = b.copy()
+    if x0 is None:
+        x = np.zeros_like(b)
+        r = b.copy()
+    else:
+        x = np.ldexp(x0, -shift)
+        r = b - A @ x
+        rel = float(np.linalg.norm(r)) / norm_b
+        if rel <= tol:
+            return np.array(x0, dtype=np.float64), 0, rel, ()
     z = r / d
     p = z.copy()
     rz = float(r @ z)
@@ -231,26 +247,34 @@ def parabolic_solve(op_factory, f_n, u0, timegrid: TimeGrid,
 
     states = np.empty((steps, base.size))
     f_store = np.empty((steps, base.size))
-    c_store = np.empty((steps, base.size))
     residuals = []
     iterations = []
-    shifted_const = None
-    if not callable(op_factory):
+    if callable(op_factory):
+        c_store, shifted_const = np.empty((steps, base.size)), None
+    else:
+        # a fixed operator has one coefficient and one shifted system for
+        # every step; the coefficient record is a read-only view of one row
+        c_store = np.broadcast_to(base.cdiag / base.volumes, (steps, base.size))
         shifted_const = base.system(base.volumes / dt)
+    prev = u
     for n in range(steps):
         opn = op_factory(n) if callable(op_factory) else op_factory
-        shifted = (shifted_const if shifted_const is not None
-                   else opn.system(opn.volumes / dt))
+        shifted = shifted_const
+        if shifted is None:
+            shifted = opn.system(opn.volumes / dt)
+            c_store[n] = opn.cdiag / opn.volumes
         fvec = masked_vector(opn.grid, f_list[n])
         b = opn.volumes * (fvec + u / dt)
+        # 2 u_0 - u_0 is u_0 exactly, so the first step starts from u_0
+        guess = 2.0 * u - prev
+        prev = u
         try:
-            u, it, rel, _ = pcg(shifted, b, tol, max_iter)
+            u, it, rel, _ = pcg(shifted, b, tol, max_iter, x0=guess)
         except SolverError as err:
             raise SolverError(f"time step {n} failed: {err}",
                               err.residual_history) from err
         states[n] = u
         f_store[n] = fvec
-        c_store[n] = opn.cdiag / opn.volumes
         residuals.append(rel)
         iterations.append(it)
     return Trajectory(grid=base.grid, timegrid=timegrid, initial=initial,

@@ -262,6 +262,34 @@ class TestRunScenario:
         assert len(steps) == 8
         assert all(rec["pass"] for rec in recs)
 
+    def test_parabolic_diagnostics_record_step_residuals_and_memory(self, tmp_path):
+        cfg = parse_config(write_config(
+            tmp_path, initial={"kind": "radial", "formula": "gauss", "scale": 0.5},
+            time={"horizon": 1.0, "steps": 8}, checks=["parabolic"]))
+        run_scenario(cfg, "parabolic")
+        diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        solver = diag["solver"]
+        for side in ("u", "v"):
+            residuals = solver[f"residuals_{side}"]
+            assert len(residuals) == len(solver[f"iterations_{side}"]) == 8
+            assert max(residuals) == solver[f"residual_{side}"]
+            assert all(0.0 <= r <= cfg.solver_tol for r in residuals)
+        assert solver["cg_iters"] == (sum(solver["iterations_u"])
+                                      + sum(solver["iterations_v"]))
+        assert diag["memory"]["estimate_bytes"] == estimate_bytes(cfg)
+        assert diag["memory"]["peak_rss_mb"] > 0.0
+
+    def test_elliptic_diagnostics_record_cg_iters_and_memory(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path))
+        run_scenario(cfg, "elliptic")
+        diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        solver = diag["solver"]
+        assert solver["cg_iters"] == solver["iterations_u"] + solver["iterations_v"]
+        assert "residuals_u" not in solver
+        assert sorted(diag["memory"]) == ["estimate_bytes", "peak_rss_mb"]
+        assert diag["memory"]["estimate_bytes"] == estimate_bytes(cfg)
+        assert diag["memory"]["peak_rss_mb"] > 0.0
+
     def test_parabolic_mode_requires_time_block(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
         with pytest.raises(ScenarioError):
@@ -337,6 +365,22 @@ class TestMemoryEstimate:
         finally:
             tracemalloc.stop()
         assert peak <= estimate_bytes(cfg)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_small_2d_estimate_within_4x_of_peak(self, tmp_path, n):
+        # the 2-D tail blocks hold TAIL_ANGLES rays per orbit representative
+        # (36 at n = 16, 136 at n = 32), not ROW_BLOCK floats, so the
+        # estimate of a small level stays near its tracemalloc peak
+        cfg = parse_config(write_config(
+            tmp_path, dimension=2, n=n, domain={"type": "boxes", "pieces": self.BOXES},
+            checks=["comparison", "energy", "polya_szego", "coarea"]))
+        tracemalloc.start()
+        try:
+            run_scenario(cfg, "elliptic")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate_bytes(cfg) <= 4 * peak
 
     def test_separable_n128_under_default_cap(self, tmp_path):
         # the modulated-2d32 benchmark geometry refined to n = 128 (m = 11,136)
