@@ -37,7 +37,11 @@ radial tail beyond the box.  The tail knows only the envelope J, so with
 modulation Lambda > 1 it is an interval [1, Lambda] * tail; the midpoint
 enters kappa and the width lands in the diagnostics.  In 2-D the tail
 density is evaluated once per orbit of the square's eight symmetries,
-under which both the box and the midpoint angle rule are invariant.
+under which both the box and the midpoint angle rule are invariant: a ray
+leaves the box at the smaller of its two per-axis face distances, each
+built as one (representatives, TAIL_ANGLES) array per block of ROW_BLOCK
+entries, and the radial primitive of the profile is averaged over the
+rays.
 """
 
 from __future__ import annotations
@@ -85,7 +89,7 @@ NEAR_CAP_1D = 1024
 NEAR_CAP_2D = 256
 TAIL_ANGLES = 2048
 # bound on the entries of one row block of offset-table gathers or tail rays
-ROW_BLOCK = 1 << 20
+ROW_BLOCK = 1 << 18
 
 
 class AssemblyError(RuntimeError):
@@ -176,20 +180,22 @@ class DiscreteOperator:
     def size(self) -> int:
         return self.volumes.size
 
-    def pair_rows(self, rows) -> np.ndarray:
-        """W[rows] for a slice or index array of masked cells: a slice of
-        the dense W, or gathered from the offset table (times
-        1 + amp g_i g_j, plus the near band, when modulated)."""
+    def pair_rows(self, rows, cols=None) -> np.ndarray:
+        """W[rows] for a slice or index array of masked cells, restricted to
+        the masked cells cols (an index array) when given: a slice of the
+        dense W, or gathered from the offset table (times 1 + amp g_i g_j,
+        plus the near band, when modulated)."""
         if self.symbol is None:
-            return self.pairs[rows]
+            return self.pairs[rows] if cols is None else self.pairs[rows][:, cols]
+        cols = slice(None) if cols is None else cols
         midx = self.grid.masked_indices
-        W = self.pairs[table_positions(self.grid, midx[rows], midx)]
+        W = self.pairs[table_positions(self.grid, midx[rows], midx[cols])]
         if self.near is not None:
             # W + amp g_i g_j W, then the band, with one temporary block
-            scaled = W * self.g
+            scaled = W * self.g[cols]
             scaled *= self.amp * self.g[rows][:, None]
             W += scaled
-            band = self.near[rows].tocoo()
+            band = self.near[rows][:, cols].tocoo()
             W[band.row, band.col] += band.data
         return W
 
@@ -469,15 +475,16 @@ def box_tail_density(kernel: Kernel, grid: Grid) -> np.ndarray:
                                   return_inverse=True)
         X = grid.centers[reps]
         # polar decomposition: for each direction the ray exits the box at
-        # distance min over axes of (signed face gap / direction cosine)
+        # distance min over axes of (signed face gap / direction cosine),
+        # built one axis at a time as (representatives, angles) arrays
         theta = (np.arange(TAIL_ANGLES) + 0.5) * (2.0 * math.pi / TAIL_ANGLES)
-        d = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        cx, cy = np.cos(theta), np.sin(theta)
         dens = np.empty(reps.size)
         step = max(1, ROW_BLOCK // TAIL_ANGLES)
         for lo in range(0, reps.size, step):
-            x = X[lo:lo + step, None, :]
-            gaps = np.where(d[None, :, :] > 0, L - x, -L - x)
-            exit_dist = np.min(gaps / d[None, :, :], axis=2)
+            x, y = X[lo:lo + step, 0:1], X[lo:lo + step, 1:2]
+            exit_dist = np.where(cx > 0, L - x, -L - x) / cx
+            np.minimum(exit_dist, np.where(cy > 0, L - y, -L - y) / cy, out=exit_dist)
             dens[lo:lo + step] = prim(exit_dist).mean(axis=1) * 2.0 * math.pi
         return dens[inverse.ravel()]
     raise ValueError("full-grid assembly supports dimensions 1 and 2")

@@ -31,10 +31,10 @@ from levysym.rearrange import (Grid, GridFunction, concentration_curve,
 from levysym.solvers import (GAUSS_NODES, GAUSS_WEIGHTS, SolverError,
                              TimeGrid, parabolic_solve, solve_elliptic,
                              to_grid_function)
-from levysym.verify import (CUT_BLOCK, check_coarea, check_comparison,
+from levysym.verify import (check_coarea, check_comparison,
                             check_energy_comparison, check_max_principle,
                             check_parabolic_comparison, check_polya_szego,
-                            config_hash, json_ready, write_reports)
+                            config_hash, cut_block, json_ready, write_reports)
 
 SCHEMA_VERSION = 1
 KERNEL_KINDS = ("exponential", "fractional", "logarithmic", "sum_of_powers",
@@ -727,19 +727,25 @@ def estimate_bytes(cfg):
     """Peak array bytes of one level, counted before anything big is
     allocated.  Every grid operator stores an offset table and its symbol,
     and a separable_cosine one adds O(m) vectors and a sparse band, so the
-    count is (2n)^N box arrays, coarea blocks of CUT_BLOCK rows of W, in
-    2-D tail blocks of TAIL_ANGLES rays per orbit representative, and in a
-    parabolic run its per-step loads and states.  Fixed I/O overhead (under
-    1 MB) is not counted."""
+    count is (2n)^N box arrays, the coarea walk's b x b blocks (b =
+    cut_block, at most m) and O(m) vectors, in 2-D the tail's
+    (representatives, TAIL_ANGLES) blocks, and in a parabolic run its
+    per-step loads and states.  Fixed I/O overhead (under 1 MB) is not
+    counted."""
     grid = scenario_grid(cfg)
     m, dim = grid.masked_count, grid.dimension
-    floats = 8 * (2 * grid.n) ** dim + 4 * min(m, CUT_BLOCK) * m
+    b = min(m, cut_block(grid))
+    # coarea: the gathered block with its index array or a second block
+    # (|u_i - u_j|, the lower triangle, the modulated term), plus O(m)
+    floats = 8 * (2 * grid.n) ** dim + 3 * b * b + 8 * m
     if dim == 2:
         # orbit representatives of the square's symmetries: at most m, and
-        # at most the k(k + 1)/2 cells of one eighth of the square
+        # at most the k(k + 1)/2 cells of one eighth of the square; a block
+        # holds the exit distances, two per-axis quotients and the
+        # primitive's temporaries, seven arrays for a table profile
         k = (grid.n + 1) // 2
         reps = min(m, k * (k + 1) // 2, ROW_BLOCK // TAIL_ANGLES)
-        floats += 10 * reps * TAIL_ANGLES
+        floats += 7 * reps * TAIL_ANGLES
     if cfg.time is not None:
         floats += 8 * cfg.time["steps"] * grid.cell_count
     return 8 * floats

@@ -48,8 +48,9 @@ __all__ = [
 
 DEFAULT_KAPPA_TOL = 0.05
 STRICT_TOL = float(np.finfo(np.float64).tiny)
-# rows of W per block of the coarea sums: each block holds a few
-# CUT_BLOCK x m arrays, gathered from the offset table of a table operator
+# cells per block of the coarea sums at 2-D n <= 127 and in 1-D (cut_block
+# scales it with the FFT box); each block holds a few block x block arrays
+# gathered from W and O(m) vectors
 CUT_BLOCK = 256
 
 
@@ -343,32 +344,77 @@ def perimeter_of(op: DiscreteOperator, inside: np.ndarray) -> float:
     return float(inside @ op.weights_times(~inside) + op.kappa @ inside)
 
 
-def prefix_cuts(op: DiscreteOperator, vals: np.ndarray) -> np.ndarray:
-    """Perimeters of the prefixes of the cells sorted by descending value.
+def cut_block(grid) -> int:
+    """Cells per block of coarea_sums: CUT_BLOCK times max(1, square root
+    of the (2n)^N FFT box's cell count // 128), so max(1, n // 64) on a 2-D
+    grid and CUT_BLOCK in 1-D below n = 8192 and on a RadialGrid."""
+    if not isinstance(grid, Grid):
+        return CUT_BLOCK
+    return CUT_BLOCK * max(1, math.isqrt((2 * grid.n) ** grid.dimension) // 128)
 
-    Entry k is perimeter_of the first k cells in that order, accumulated as
-    cut(S + {k}) = cut(S) + deg(k) + kappa_k - 2 W[k, S] over row blocks of
-    W, so every super-level set costs one lookup.
+
+def within_block(op: DiscreteOperator, sel: np.ndarray, u: np.ndarray) -> tuple:
+    """Row sums of the strict lower triangle of the block W[sel, sel], and
+    its pair sum sum_(i<j) W_ij |u_i - u_j|, taken over the whole symmetric
+    block so that it shares no term with the triangle of the cuts."""
+    block = op.pair_rows(sel, sel)
+    within = np.tril(block, -1).sum(axis=1)
+    gaps = np.subtract.outer(u, u)
+    np.abs(gaps, out=gaps)
+    gaps *= block
+    return within, 0.5 * float(np.sum(gaps))
+
+
+def coarea_sums(op: DiscreteOperator, vals: np.ndarray) -> tuple:
+    """Prefix perimeters and pair sum of the coarea identity, over blocks of
+    the cells sorted by descending value.
+
+    With E the cells of earlier blocks, cell k of block b adds
+    deg_k + kappa_k - 2 ((W 1_E)_k + sum of W_kj over the earlier cells j
+    of b) to the cut, and sum_(j in E) W_kj (u_j - u_k), that is
+    (W (u 1_E))_k - u_k (W 1_E)_k, to sum_(i<j) W_ij |u_i - u_j|; pairs
+    inside b are summed directly.  Each block costs two weights_times
+    products and one b x b gather.  Returns (cuts, pairs): cuts[k] is
+    perimeter_of the first k cells in that order.
     """
     m = vals.size
     order = np.argsort(-vals, kind="stable")
-    rank = np.empty(m, dtype=np.int64)
-    rank[order] = np.arange(m)
+    inside = np.zeros(m)
+    weighted = np.zeros(m)
     step = np.empty(m)
-    for lo in range(0, m, CUT_BLOCK):
-        sel = order[lo:lo + CUT_BLOCK]
-        rows = op.pair_rows(sel)
-        earlier = rows @ (rank < lo).astype(np.float64)
-        within = np.tril(rows[:, sel], -1).sum(axis=1)
-        step[lo:lo + CUT_BLOCK] = (rows.sum(axis=1) + op.kappa[sel]
-                                   - 2.0 * (earlier + within))
-    return np.concatenate(([0.0], np.cumsum(step)))
+    pairs = 0.0
+    b = cut_block(op.grid)
+    for lo in range(0, m, b):
+        sel = order[lo:lo + b]
+        u = vals[sel]
+        earlier = op.weights_times(inside)[sel]
+        pairs += float(np.sum(op.weights_times(weighted)[sel] - u * earlier))
+        within, direct = within_block(op, sel, u)
+        step[lo:lo + b] = op.degree[sel] + op.kappa[sel] - 2.0 * (earlier + within)
+        pairs += direct
+        inside[sel] = 1.0
+        weighted[sel] = u
+    return np.concatenate(([0.0], np.cumsum(step))), pairs
+
+
+def prefix_cuts(op: DiscreteOperator, vals: np.ndarray) -> np.ndarray:
+    """Perimeters of the prefixes of the cells sorted by descending value:
+    entry k is perimeter_of the first k cells in that order, accumulated
+    as cut(S + {k}) = cut(S) + deg(k) + kappa_k - 2 W[k, S] (coarea_sums),
+    so every super-level set costs one lookup."""
+    return coarea_sums(op, vals)[0]
 
 
 def check_coarea(op: DiscreteOperator, u: GridFunction, mode: str = "plain",
                  level: float = 0.0, height: float | None = None) -> CheckReport:
     """Layer-cake identity: the kernel total-variation energy equals the
-    integral of discrete perimeters over levels.  Exact for cell data."""
+    integral of discrete perimeters over levels.  Exact for cell data.
+
+    Both sides come from one walk over the cells in descending order
+    (coarea_sums).  The left side uses the value-weighted products
+    W (u 1_E), which the right side never forms, so the two do not agree by
+    Abel summation alone; the perimeter of the whole support is evaluated
+    directly by perimeter_of."""
     vals = masked_vector(op.grid, u)
     if vals.size and vals.min() < 0:
         raise ValueError("coarea check needs nonnegative data")
@@ -378,19 +424,15 @@ def check_coarea(op: DiscreteOperator, u: GridFunction, mode: str = "plain",
         vals = masked_vector(op.grid, truncate(u, level, height))
     elif mode != "plain":
         raise ValueError("mode must be 'plain' or 'truncated'")
-    pairs = 0.0
-    for lo in range(0, vals.size, CUT_BLOCK):
-        block = slice(lo, lo + CUT_BLOCK)
-        pairs += float(np.sum(op.pair_rows(block)
-                              * np.abs(vals[block, None] - vals[None, :])))
-    lhs = 0.5 * pairs + float(op.kappa @ vals)
+    cuts, pairs = coarea_sums(op, vals)
+    lhs = pairs + float(op.kappa @ vals)
     levels = np.unique(np.concatenate(([0.0], vals)))
     rhs = 0.0
     if levels.size > 1:
         # the set above levels[i] is the first `counts[i]` cells in
         # descending order; the whole support is evaluated directly
         counts = vals.size - np.searchsorted(np.sort(vals), levels[:-1], side="right")
-        terms = np.diff(levels) * prefix_cuts(op, vals)[counts]
+        terms = np.diff(levels) * cuts[counts]
         terms[0] = (levels[1] - levels[0]) * perimeter_of(op, vals > levels[0])
         rhs = float(np.sum(terms))
     scale = max(abs(lhs), abs(rhs), 1e-300)

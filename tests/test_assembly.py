@@ -188,21 +188,37 @@ class TestOffsetTable:
         np.testing.assert_allclose(op.weight_matrix[far], W_ref[far], rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(op.kappa, direct_kappa(k, g), rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("prof", [RadialProfile.power(0.3, dimension=2),
-                                      RadialProfile.exponential(1.5, dimension=2)])
+    @pytest.mark.parametrize("prof", [
+        RadialProfile.power(0.3, dimension=2),
+        RadialProfile.exponential(1.5, dimension=2),
+        RadialProfile.sum_of_powers([0.2, 0.7], dimension=2),
+        RadialProfile.tabulated([0.2, 0.5, 1.3, 2.5], [4.0, 2.0, 1.0, 0.5], dimension=2)])
     def test_folded_tail_matches_unfolded(self, prof, monkeypatch):
         g = two_piece_grid(2)
-        monkeypatch.setattr(assembly, "ROW_BLOCK", 3 * 2048)
-        got = assembly.box_tail_density(Kernel(profile=prof), g)
-        # every masked cell on its own, no symmetry fold
         prim = tail_primitive(prof, 2)
-        X = g.centers[g.masked_indices]
-        L = g.half_width
+        L, n = g.half_width, g.n
         theta = (np.arange(2048) + 0.5) * (2.0 * math.pi / 2048)
         d = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        gaps = np.where(d[None, :, :] > 0, L - X[:, None, :], -L - X[:, None, :])
-        want = prim(np.min(gaps / d[None, :, :], axis=2)).mean(axis=1) * 2.0 * math.pi
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+        def tail_3d(X):
+            gaps = np.where(d[None, :, :] > 0, L - X[:, None, :], -L - X[:, None, :])
+            return prim(np.min(gaps / d[None, :, :], axis=2)).mean(axis=1) * 2.0 * math.pi
+
+        idx = g.index_array[g.masked_indices]
+        folded = np.sort(np.minimum(idx, n - 1 - idx), axis=1)
+        assert np.unique(folded, axis=0).shape[0] > 3
+        unfolded = tail_3d(g.centers[g.masked_indices])
+        at_reps = tail_3d(g.centers[folded[:, 0] * n + folded[:, 1]])
+        # 3 representatives per block splits them over several blocks; the
+        # default block holds them all
+        for row_block in (3 * 2048, assembly.ROW_BLOCK):
+            monkeypatch.setattr(assembly, "ROW_BLOCK", row_block)
+            got = assembly.box_tail_density(Kernel(profile=prof), g)
+            # every masked cell on its own, no symmetry fold
+            np.testing.assert_allclose(got, unfolded, rtol=1e-13, atol=0.0)
+            # at each cell's orbit representative the (cells, angles, 2)
+            # formula goes through the same scalar operations, bit for bit
+            assert np.array_equal(got, at_reps)
 
     def test_phase_seconds_in_diagnostics(self):
         op = assemble(frac_kernel(0.4, dim=2), two_piece_grid(2), None)

@@ -5,6 +5,7 @@ data), randomized suites probe the inequality direction at small scale,
 and the acceptance suite reruns them at full trial counts.
 """
 
+import inspect
 import json
 import math
 from dataclasses import replace
@@ -14,7 +15,7 @@ import pytest
 from scipy.integrate import dblquad
 
 from levysym import verify
-from levysym.assembly import assemble, build_rhs
+from levysym.assembly import RadialGrid, assemble, build_rhs
 from levysym.kernels import (IntegrabilityError, Kernel, RadialProfile,
                              make_modulation)
 from levysym.rearrange import (Grid, GridFunction, concentration_dominates,
@@ -666,6 +667,112 @@ class TestTableReaders:
             for a, b in zip(check_level_set_inequality(op_v, us, zeros, fs, levels),
                             check_level_set_inequality(dense_v, us, zeros, fs, levels)):
                 assert a.slack == pytest.approx(b.slack, rel=1e-12, abs=1e-12)
+
+
+def coarea_operators(dim):
+    """(name, operator) for the three forms that coarea_sums reads: table,
+    separable_cosine (table plus g and a sparse band) and dense."""
+    _, op, _ = table_pair(dim)
+    _, op_sep, _ = table_pair(dim, "separable_cosine")
+    dense = replace(op, pairs=op.weight_matrix, symbol=None)
+    return [("table", op), ("separable_cosine", op_sep), ("dense", dense)]
+
+
+def coarea_values(op, seed):
+    """Few distinct values with zeros: many tied cells per level."""
+    return 0.25 * np.random.default_rng(seed).integers(0, 6, op.size)
+
+
+def as_function(op, vals):
+    full = np.zeros(op.grid.cell_count)
+    full[op.grid.masked_indices] = vals
+    return GridFunction(op.grid, full)
+
+
+def small_block(monkeypatch, m):
+    """A CUT_BLOCK of at least three blocks that does not divide m."""
+    b = next(b for b in (7, 5, 11) if m % b)
+    assert m // b >= 3
+    monkeypatch.setattr(verify, "CUT_BLOCK", b)
+
+
+def mutate(monkeypatch, name, old, new):
+    """Install verify.<name> with the one occurrence of old in its source
+    replaced by new."""
+    src = inspect.getsource(getattr(verify, name))
+    assert src.count(old) == 1
+    namespace = dict(vars(verify))
+    exec(compile(src.replace(old, new), verify.__file__, "exec"), namespace)
+    monkeypatch.setattr(verify, name, namespace[name])
+
+
+COAREA_MUTANTS = {
+    "within_upper_triangle": ("within_block", "np.tril(block, -1)", "np.triu(block, 1)"),
+    "current_block_in_E": ("coarea_sums", "earlier = op.weights_times(inside)[sel]",
+                           "inside[sel] = 1.0; earlier = op.weights_times(inside)[sel]"),
+    "shifted_level_index": ("check_coarea", "cuts[counts]", "cuts[counts - 1]"),
+    "dropped_kappa": ("coarea_sums", "op.degree[sel] + op.kappa[sel]", "op.degree[sel]"),
+}
+
+
+class TestCoareaBlocks:
+    """The blocked walk of coarea_sums against per-level perimeters, and
+    mutants of it that the coarea check must catch."""
+
+    def test_block_size_follows_the_fft_box(self):
+        assert verify.cut_block(box_grid(64, dim=2)) == 256
+        assert verify.cut_block(box_grid(128, dim=2)) == 512
+        assert verify.cut_block(box_grid(256, dim=2)) == 1024
+        assert verify.cut_block(box_grid(1024)) == 256
+        assert verify.cut_block(RadialGrid(2, 1.0, 16)) == 256
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_pair_rows_column_selection(self, dim):
+        rng = np.random.default_rng(3)
+        for _, op in coarea_operators(dim):
+            rows = rng.permutation(op.size)[:9]
+            cols = rng.permutation(op.size)[:13]
+            want = op.weight_matrix[np.ix_(rows, cols)]
+            np.testing.assert_allclose(op.pair_rows(rows, cols), want, rtol=1e-15, atol=0.0)
+            np.testing.assert_array_equal(op.pair_rows(slice(2, 5), cols),
+                                          op.pair_rows(np.arange(2, 5), cols))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_per_level_perimeters(self, dim, monkeypatch):
+        for form, op in coarea_operators(dim):
+            small_block(monkeypatch, op.size)
+            W = op.weight_matrix
+            for seed in range(3):
+                vals = coarea_values(op, 10 * dim + seed)
+                order = np.argsort(-vals, kind="stable")
+                cuts, pairs = verify.coarea_sums(op, vals)
+                for k in range(op.size + 1):
+                    inside = np.zeros(op.size, dtype=bool)
+                    inside[order[:k]] = True
+                    assert cuts[k] == pytest.approx(verify.perimeter_of(op, inside),
+                                                    rel=1e-12, abs=1e-14), (form, k)
+                want = 0.5 * float(np.sum(W * np.abs(vals[:, None] - vals[None, :])))
+                assert pairs == pytest.approx(want, rel=1e-12), form
+                levels = np.unique(np.concatenate(([0.0], vals)))
+                rhs = sum((hi - lo) * verify.perimeter_of(op, vals > lo)
+                          for lo, hi in zip(levels[:-1], levels[1:]))
+                assert pairs + float(op.kappa @ vals) == pytest.approx(rhs, rel=1e-12)
+                assert verify.check_coarea(op, as_function(op, vals)).slack <= 1e-12
+
+    @pytest.mark.parametrize("mutant", sorted(COAREA_MUTANTS))
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_mutants_fail(self, mutant, dim, monkeypatch):
+        cases = []
+        for form, op in coarea_operators(dim):
+            small_block(monkeypatch, op.size)
+            u = as_function(op, coarea_values(op, 5 + dim))
+            assert verify.check_coarea(op, u).passed, form
+            cases.append((form, op, u))
+        mutate(monkeypatch, *COAREA_MUTANTS[mutant])
+        for form, op, u in cases:
+            small_block(monkeypatch, op.size)
+            rep = verify.check_coarea(op, u)
+            assert not rep.passed and rep.slack > 1e-6, form
 
 
 class TestPhi:
