@@ -8,8 +8,9 @@ i != j the pairwise weight is
 
 with Q(C_i, C_j) = h^N * integral of K(x_i, y) over the cell C_j, refined
 by midpoint subdivision with Richardson extrapolation until the relative
-change drops below 1e-6.  The self pair never enters because a piecewise
-constant has no variation inside a cell.
+change drops below 1e-6 (richardson, which the radial operator's near
+shells share).  The self pair never enters because a piecewise constant
+has no variation inside a cell.
 
 On the uniform grid the envelope part of a far weight, J(h |i - j|),
 depends on the index offset i - j only, so the profile is evaluated once
@@ -400,6 +401,26 @@ def separable_rows(mod: SeparableCosine, xi: np.ndarray, xj: np.ndarray,
                                   + gj * (c0 + cj * C + np.sin(pj) * S))
 
 
+def richardson(level, first: int, cap: int, what: str) -> tuple:
+    """Midpoint values level(m) for m = first, 2 first, ... up to cap, each
+    extrapolated to rich = plain + (plain - previous plain) / 3.  Returns
+    (rich, m) once max |rich - previous rich| / max(|rich|, 1e-300) is
+    below NEAR_TOL; AssemblyError naming `what` if cap comes first."""
+    prev_plain, prev_rich = level(first), None
+    m = 2 * first
+    while m <= cap:
+        plain = level(m)
+        rich = plain + (plain - prev_plain) / 3.0
+        if prev_rich is not None:
+            denom = np.maximum(np.abs(rich), 1e-300)
+            if np.max(np.abs(rich - prev_rich) / denom) < NEAR_TOL:
+                return rich, m
+        prev_plain, prev_rich = plain, rich
+        m *= 2
+    raise AssemblyError(
+        f"{what} did not converge within {cap} subdivisions per axis")
+
+
 def refined_pair_weights(kernel: Kernel, centers: np.ndarray, rows: np.ndarray,
                          delta: tuple, h: float) -> tuple:
     """Symmetrized near-pair weights for all pairs (i, i + delta).
@@ -410,9 +431,8 @@ def refined_pair_weights(kernel: Kernel, centers: np.ndarray, rows: np.ndarray,
     Each midpoint level sums over the subcell points v = h delta + t: one
     constant for every row unless the modulation is separable, whose
     per-row values come from three per-offset sums (separable_rows) and
-    must lie in [1, Lambda] times the unmodulated sum.  The levels are
-    Richardson-extrapolated; AssemblyError if the relative change never
-    falls below NEAR_TOL.
+    must lie in [1, Lambda] times the unmodulated sum.  The levels run
+    through richardson from 1 point per axis, with its AssemblyError.
     """
     dim = len(delta)
     shift = h * np.asarray(delta, dtype=np.float64)
@@ -438,23 +458,8 @@ def refined_pair_weights(kernel: Kernel, centers: np.ndarray, rows: np.ndarray,
             raise ValueError("modulation leaves the certified band [1, Lambda]")
         return out
 
-    prev_plain = level(1)
-    prev_rich = None
-    m = 2
-    while m <= cap:
-        plain = level(m)
-        rich = plain + (plain - prev_plain) / 3.0
-        if prev_rich is not None:
-            denom = np.maximum(np.abs(rich), 1e-300)
-            change = float(np.max(np.abs(rich - prev_rich) / denom))
-            if change < NEAR_TOL:
-                return rich, m
-        prev_plain = plain
-        prev_rich = rich
-        m *= 2
-    raise AssemblyError(
-        f"near-field quadrature for cell offset {delta} did not converge "
-        f"within {cap} subdivisions per axis")
+    return richardson(level, 1, cap,
+                      f"near-field quadrature for cell offset {delta}")
 
 
 def box_tail_density(kernel: Kernel, grid: Grid) -> np.ndarray:
@@ -645,23 +650,14 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> Discr
 def shell_mass_from_point(profile: RadialProfile, dim: int, rho: float,
                           lo: float, hi: float) -> float:
     """Integral of J(|rho e1 - y|) over the shell lo < |y| < hi, by refined
-    midpoint in the shell radius with Richardson extrapolation."""
-    prev_plain = None
-    prev_rich = None
-    m = 2
-    while m <= NEAR_CAP_1D:
+    midpoint in the shell radius from 2 points (richardson)."""
+    def level(m: int) -> float:
         tau = lo + (np.arange(m) + 0.5) * (hi - lo) / m
         avg = angular_kernel_average(profile, dim, rho, tau)
-        plain = float(np.sum(tau ** (dim - 1) * avg) * (hi - lo) / m)
-        if prev_plain is not None:
-            rich = plain + (plain - prev_plain) / 3.0
-            if prev_rich is not None and abs(rich - prev_rich) <= NEAR_TOL * max(abs(rich), 1e-300):
-                return rich
-            prev_rich = rich
-        prev_plain = plain
-        m *= 2
-    raise AssemblyError(
-        f"radial near-shell quadrature did not converge for shell ({lo}, {hi})")
+        return float(np.sum(tau ** (dim - 1) * avg) * (hi - lo) / m)
+
+    return richardson(level, 2, NEAR_CAP_1D,
+                      f"radial near-shell quadrature for shell ({lo}, {hi})")[0]
 
 
 def assemble_radial(profile: RadialProfile, R: float, shells: int,

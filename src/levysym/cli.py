@@ -25,16 +25,17 @@ from levysym.assembly import ROW_BLOCK, TAIL_ANGLES, AssemblyError, assemble
 from levysym.env import thread_setting
 from levysym.kernels import (IntegrabilityError, Kernel, KernelDomainError,
                              RadialProfile, make_modulation, rearrange_profile)
+# concentration_curve is not called here; the benchmark tracer wraps it
 from levysym.rearrange import (Grid, GridFunction, concentration_curve,
-                               default_radii, read_gridfunction_csv,
-                               schwarz_rearrangement, write_gridfunction_csv)
-from levysym.solvers import (GAUSS_NODES, GAUSS_WEIGHTS, SolverError,
-                             TimeGrid, parabolic_solve, solve_elliptic,
-                             to_grid_function)
+                               read_gridfunction_csv, schwarz_rearrangement,
+                               write_gridfunction_csv)
+from levysym.solvers import (SolverError, TimeGrid, parabolic_solve,
+                             solve_elliptic, time_average, to_grid_function)
 from levysym.verify import (check_coarea, check_comparison,
                             check_energy_comparison, check_max_principle,
                             check_parabolic_comparison, check_polya_szego,
-                            config_hash, cut_block, json_ready, write_reports)
+                            concentration_gap, config_hash, cut_block,
+                            json_ready, write_reports)
 
 SCHEMA_VERSION = 1
 KERNEL_KINDS = ("exponential", "fractional", "logarithmic", "sum_of_powers",
@@ -42,7 +43,9 @@ KERNEL_KINDS = ("exponential", "fractional", "logarithmic", "sum_of_powers",
 MODULATION_TAGS = ("none", "rough_cosine", "separable_cosine")
 DATA_KINDS = ("constant", "radial", "table")
 RADIAL_FORMULAS = ("abs", "gauss", "square")
-TIME_FACTORS = ("none", "decay", "ramp")
+# f.time_factor tag -> g(t) of the separable source f(x) g(t)
+TIME_FACTORS = {"none": None, "decay": lambda t: np.exp(-t),
+                "ramp": lambda t: t}
 CHECK_NAMES = ("coarea", "comparison", "energy", "max_principle",
                "parabolic", "polya_szego")
 ELLIPTIC_CHECKS = frozenset(CHECK_NAMES) - {"parabolic"}
@@ -527,29 +530,22 @@ def data_function(spec, cfg, grid):
     return GridFunction(grid, table.values)
 
 
-def step_averages(factor, timegrid):
-    """Per-step averages of the separable time factor, 8-point quadrature."""
-    if factor == "none":
-        return np.ones(timegrid.steps)
-    g = {"decay": lambda t: np.exp(-t), "ramp": lambda t: t}[factor]
-    out = np.empty(timegrid.steps)
-    for k in range(timegrid.steps):
-        a, b = timegrid.times[k], timegrid.times[k + 1]
-        t = 0.5 * (b - a) * GAUSS_NODES + 0.5 * (a + b)
-        out[k] = 0.5 * float(GAUSS_WEIGHTS @ g(t))
-    return out
+def time_loads(fn, factor, timegrid):
+    """Loads of the source fn(x) g(t), g the named time factor: fn itself
+    for "none", else per-step averages from solvers.time_average."""
+    g = TIME_FACTORS[factor]
+    if g is None:
+        return fn
+    return time_average(lambda *x_t: fn.values * g(x_t[-1]), fn.grid,
+                        timegrid)
 
 
-def write_concentration_csv(path, u_fn, v_fn):
-    radii = default_radii(u_fn.grid)
-    cu = concentration_curve(schwarz_rearrangement(u_fn), radii)
-    cv = concentration_curve(v_fn, radii)
+def write_concentration_csv(path, radii, conc_u_sharp, conc_v, diff):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["r", "conc_u_sharp", "conc_v", "diff"])
-        for r, a, b in zip(cu.radii, cu.integrals, cv.integrals):
-            writer.writerow([f"{r:.17g}", f"{a:.17g}", f"{b:.17g}",
-                             f"{a - b:.17g}"])
+        for row in zip(radii, conc_u_sharp, conc_v, diff):
+            writer.writerow([f"{x:.17g}" for x in row])
 
 
 class WarningLog(warnings.catch_warnings):
@@ -644,13 +640,11 @@ def run_phases(cfg, mode, log):
         timegrid = TimeGrid(cfg.time["horizon"], cfg.time["steps"])
         init_fn = data_function(cfg.initial, cfg, grid)
         init_sharp = schwarz_rearrangement(init_fn)
-        factors = step_averages(cfg.f.get("time_factor", "none"), timegrid)
-        f_seq = [GridFunction(grid, f_fn.values * g) for g in factors]
-        fs_seq = [GridFunction(ball, f_sharp.values * g) for g in factors]
-        traj_u = parabolic_solve(op_u, f_seq, init_fn, timegrid,
-                                 tol=cfg.solver_tol)
-        traj_v = parabolic_solve(op_v, fs_seq, init_sharp, timegrid,
-                                 tol=cfg.solver_tol)
+        factor = cfg.f.get("time_factor", "none")
+        traj_u = parabolic_solve(op_u, time_loads(f_fn, factor, timegrid),
+                                 init_fn, timegrid, tol=cfg.solver_tol)
+        traj_v = parabolic_solve(op_v, time_loads(f_sharp, factor, timegrid),
+                                 init_sharp, timegrid, tol=cfg.solver_tol)
         u_fn = to_grid_function(op_u, traj_u.states[-1])
         v_fn = to_grid_function(op_v, traj_v.states[-1])
         diagnostics["solver"] = {
@@ -664,8 +658,9 @@ def run_phases(cfg, mode, log):
     log.phase = "io"
     write_gridfunction_csv(u_fn, os.path.join(outdir, "u.csv"))
     write_gridfunction_csv(v_fn, os.path.join(outdir, "v.csv"))
+    _, _, cu, cv, diff = concentration_gap(u_fn, v_fn)
     write_concentration_csv(os.path.join(outdir, "concentration.csv"),
-                            u_fn, v_fn)
+                            cu.radii, cu.integrals, cv.integrals, diff)
 
     reports = []
     checks_path = os.path.join(outdir, "checks.jsonl")

@@ -147,11 +147,14 @@ class Grid:
         return (self.dimension == other.dimension and self.n == other.n
                 and abs(self.half_width - other.half_width) <= 1e-12 * self.half_width)
 
-    def snap_radius(self, r: float) -> int:
-        """Snap a radius outward to a whole number of cell widths."""
-        if r < 0:
+    def snap_radius(self, r):
+        """Snap radii outward to whole numbers of cell widths: an int for a
+        scalar, an int64 array for an array."""
+        k = np.asarray(r, dtype=np.float64)
+        if np.any(k < 0):
             raise ValueError("radius must be nonnegative")
-        return int(math.ceil(r / self.h - 1e-9))
+        k = np.ceil(k / self.h - 1e-9).astype(np.int64)
+        return int(k) if k.ndim == 0 else k
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,13 +271,10 @@ def concentration_curve(f: GridFunction, radii: Sequence[float]) -> Concentratio
     # infinite or, alone, NaN
     if not (radii[1:] > radii[:-1]).all():
         raise ValueError("radii must be strictly increasing")
-    if radii[0] < 0:
-        raise ValueError("radius must be nonnegative")
     if not math.isfinite(radii[-1]):
         raise ValueError("radii must be finite")
     grid = f.grid
-    # Grid.snap_radius over the whole array
-    ks = np.ceil(radii / grid.h - 1e-9).astype(np.int64)
+    ks = grid.snap_radius(radii)
     if not (ks[1:] > ks[:-1]).all():
         raise ValueError("distinct radii snapped to the same cell boundary")
     counts = np.searchsorted(grid.sorted_radius_keys, 4 * ks * ks, side="right")

@@ -133,6 +133,14 @@ class TestPairWeights:
         with pytest.raises(AssemblyError):
             assemble(frac_kernel(0.75), g, None)
 
+    def test_nonconvergent_shell_quadrature_names_the_shell(self, monkeypatch):
+        # the radial near shells start the shared loop at 2 points, so a
+        # cap of 4 stops it before any extrapolations can be compared
+        monkeypatch.setattr(assembly, "NEAR_CAP_1D", 4)
+        with pytest.raises(AssemblyError, match=r"shell \(0\.25, 0\.5\)"):
+            assemble_radial(RadialProfile.power(0.5, dimension=1), 1.0, 4,
+                            None, 1)
+
 
 def modulated_kernel(tag, dim, s=0.4, lam=2.0):
     return Kernel(profile=RadialProfile.power(s, dimension=dim), Lambda=lam,

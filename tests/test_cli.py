@@ -12,7 +12,7 @@ import pytest
 
 from levysym.cli import (ConfigError, ScenarioError, estimate_bytes, main,
                          parse_config, refine_sweep, run_scenario, scenario_grid,
-                         step_averages)
+                         time_loads)
 from levysym.rearrange import (Grid, GridFunction, read_gridfunction_csv,
                                write_gridfunction_csv)
 from levysym.solvers import TimeGrid
@@ -202,6 +202,12 @@ class TestRunScenario:
         # diff column is consistent and the comparison direction holds
         assert np.allclose(body[:, 3], body[:, 1] - body[:, 2], atol=1e-18)
         assert body[:, 3].max() <= 0.05 * (2.0 / 64)
+        # the CSV and the comparison check come from one routine
+        rec = json.loads((tmp_path / "out" / "checks.jsonl").read_text())
+        assert rec["check"] == "comparison"
+        worst = int(np.argmax(body[:, 3]))
+        assert body[worst, 3] == rec["slack"]
+        assert body[worst, 0] == rec["worst_location"]["r"]
 
     def test_equality_scenario_exit_zero(self, tmp_path):
         cfg = parse_config(write_config(
@@ -261,6 +267,19 @@ class TestRunScenario:
         steps = [rec for rec in recs if rec["check"] == "parabolic_comparison"]
         assert len(steps) == 8
         assert all(rec["pass"] for rec in recs)
+
+    def test_last_parabolic_report_is_the_final_comparison(self, tmp_path):
+        cfg = parse_config(write_config(
+            tmp_path, initial={"kind": "radial", "formula": "gauss", "scale": 0.5},
+            time={"horizon": 1.0, "steps": 6}, checks=["parabolic", "comparison"]))
+        run_scenario(cfg, "parabolic")
+        recs = [json.loads(line) for line in
+                (tmp_path / "out" / "checks.jsonl").read_text().splitlines()]
+        last, final = recs[-2], recs[-1]
+        assert last["check"] == "parabolic_comparison"
+        assert final["check"] == "comparison"
+        assert last["slack"] == final["slack"]
+        assert last["worst_location"]["r"] == final["worst_location"]["r"]
 
     def test_parabolic_diagnostics_record_step_residuals_and_memory(self, tmp_path):
         cfg = parse_config(write_config(
@@ -499,9 +518,13 @@ class TestMainEntry:
 
 
 def test_step_averages_integrate_the_time_factor():
+    # the per-step loads of f(x) g(t) are f times the exact mean of g
     tg = TimeGrid(horizon=1.5, steps=6)
     a, b = tg.times[:-1], tg.times[1:]
-    np.testing.assert_allclose(step_averages("decay", tg),
-                               (np.exp(-a) - np.exp(-b)) / tg.dt, rtol=1e-14)
-    np.testing.assert_allclose(step_averages("ramp", tg), 0.5 * (a + b), rtol=1e-14)
-    assert np.array_equal(step_averages("none", tg), np.ones(6))
+    grid = Grid.full_box(1, 1.0, 8)
+    f = GridFunction.from_callable(grid, lambda x: 1.0 + x * x)
+    means = {"decay": (np.exp(-a) - np.exp(-b)) / tg.dt, "ramp": 0.5 * (a + b)}
+    for factor, mean in means.items():
+        loads = np.array([load.values for load in time_loads(f, factor, tg)])
+        np.testing.assert_allclose(loads, np.outer(mean, f.values), rtol=1e-14)
+    assert time_loads(f, "none", tg) is f
