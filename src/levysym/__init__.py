@@ -38,9 +38,7 @@ from levysym.rearrange import (
 )
 from levysym.assembly import (
     DiscreteOperator,
-    RadialGrid,
     assemble,
-    assemble_radial,
     build_rhs,
     energy,
 )
@@ -83,12 +81,10 @@ __all__ = [
     "Grid",
     "GridFunction",
     "Kernel",
-    "RadialGrid",
     "RadialProfile",
     "TimeGrid",
     "Trajectory",
     "assemble",
-    "assemble_radial",
     "build_rhs",
     "check_coarea",
     "check_comparison",

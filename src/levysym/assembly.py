@@ -8,9 +8,8 @@ i != j the pairwise weight is
 
 with Q(C_i, C_j) = h^N * integral of K(x_i, y) over the cell C_j, refined
 by midpoint subdivision with Richardson extrapolation until the relative
-change drops below 1e-6 (richardson, which the radial operator's near
-shells share).  The self pair never enters because a piecewise constant
-has no variation inside a cell.
+change drops below 1e-6.  The self pair never enters because a piecewise
+constant has no variation inside a cell.
 
 On the uniform grid the envelope part of a far weight, J(h |i - j|),
 depends on the index offset i - j only, so the profile is evaluated once
@@ -26,8 +25,7 @@ A SeparableCosine modulation 1 + amp g(x) g(y) gives
 W = T + amp G T G + N with G = diag(g) at the masked cells and N the
 sparse band of near weights, which differ from row to row: each
 refinement level builds them from three sums per offset (separable_rows).
-Only radial operators store a dense symmetric m x m W.  assemble refuses
-any other modulation callable with a ValueError.  Outside
+assemble refuses any other modulation callable with a ValueError.  Outside
 DiscreteOperator, W is read only through pair_rows (rows of W) and
 weights_times (W x); weight_matrix and matrix are explicit
 materialisations for small m.
@@ -60,14 +58,9 @@ from scipy import sparse
 from .env import thread_setting
 from .kernels import (
     Kernel,
-    RadialProfile,
     RoughCosine,
     SeparableCosine,
-    angular_kernel_average,
-    ball_volume,
-    exterior_ball_mass,
     modulation_factor,
-    surface_area,
     tail_primitive,
 )
 from .rearrange import Grid, GridFunction
@@ -77,12 +70,9 @@ __all__ = [
     "DiscreteOperator",
     "OffsetProduct",
     "OperatorSystem",
-    "RadialGrid",
     "assemble",
-    "assemble_radial",
     "build_rhs",
     "energy",
-    "write_operator_csv",
 ]
 
 NEAR_TOL = 1e-6
@@ -103,71 +93,34 @@ def thread_count() -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class RadialGrid:
-    """Uniform radial shells of the ball B_R, for the symmetrized problem."""
-
-    dimension: int
-    radius: float
-    shells: int
-
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be at least 1")
-        if self.shells < 2:
-            raise ValueError("need at least two shells")
-        if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise ValueError("radius must be positive and finite")
-
-    @property
-    def delta(self) -> float:
-        return self.radius / self.shells
-
-    @cached_property
-    def edges(self) -> np.ndarray:
-        return self.delta * np.arange(self.shells + 1, dtype=np.float64)
-
-    @cached_property
-    def midpoints(self) -> np.ndarray:
-        return self.delta * (np.arange(self.shells, dtype=np.float64) + 0.5)
-
-    @cached_property
-    def volumes(self) -> np.ndarray:
-        n = self.dimension
-        return ball_volume(n) * np.diff(self.edges ** n)
-
-
-@dataclass(frozen=True, eq=False)
 class DiscreteOperator:
-    """Symmetric nonlocal stiffness operator over the masked cells.
+    """Symmetric nonlocal stiffness operator over the masked cells of a grid.
 
-    On a grid, pairs is the offset table T over the (2n - 1)^N offsets of
-    the box, T_ij = T[zero + p_i - p_j] (see table_positions), and symbol
-    its Fourier symbol (see OffsetProduct).  W is T, or with a separable
+    pairs is the offset table T over the (2n - 1)^N offsets of the box,
+    T_ij = T[zero + p_i - p_j] (see table_positions), and symbol its
+    Fourier symbol (see OffsetProduct).  W is T, or with a separable
     modulation T + amp G T G + near, G = diag(g) over the masked cells and
     near the sparse band of weights between masked cells at Chebyshev
-    index distance 1 or 2, where T is zero.  On a RadialGrid symbol is
-    None and pairs is the dense symmetric m x m W.  pair_rows and
-    weights_times read W in every form without building an m x m array.
-    kappa and cdiag are the killing and lower-order diagonals, already
+    index distance 1 or 2, where T is zero.  pair_rows and weights_times
+    read W in both forms without building an m x m array.  kappa and
+    cdiag are the killing and lower-order diagonals, already
     volume-weighted.
     """
 
-    grid: object
+    grid: Grid
     volumes: np.ndarray
     pairs: np.ndarray
     kappa: np.ndarray
     cdiag: np.ndarray
     tail_interval: np.ndarray
+    symbol: np.ndarray
     diagnostics: dict = field(default_factory=dict)
-    symbol: np.ndarray | None = None
     amp: float = 0.0
     g: np.ndarray | None = None
     near: sparse.csr_matrix | None = None
 
     def __post_init__(self):
         m = self.size
-        if self.symbol is None and self.pairs.shape != (m, m):
-            raise ValueError("dense pair weights must be an m x m matrix")
         for name in ("kappa", "cdiag"):
             if getattr(self, name).shape != (m,):
                 raise ValueError(f"{name} must have one entry per masked cell")
@@ -183,11 +136,9 @@ class DiscreteOperator:
 
     def pair_rows(self, rows, cols=None) -> np.ndarray:
         """W[rows] for a slice or index array of masked cells, restricted to
-        the masked cells cols (an index array) when given: a slice of the
-        dense W, or gathered from the offset table (times 1 + amp g_i g_j,
-        plus the near band, when modulated)."""
-        if self.symbol is None:
-            return self.pairs[rows] if cols is None else self.pairs[rows][:, cols]
+        the masked cells cols (an index array) when given, gathered from
+        the offset table (times 1 + amp g_i g_j, plus the near band, when
+        modulated)."""
         cols = slice(None) if cols is None else cols
         midx = self.grid.masked_indices
         W = self.pairs[table_positions(self.grid, midx[rows], midx[cols])]
@@ -206,10 +157,8 @@ class DiscreteOperator:
         return OffsetProduct(self.symbol, self.grid)
 
     def weights_times(self, x: np.ndarray) -> np.ndarray:
-        """W x: a dense product, or one FFT product through the symbol
-        (three terms when modulated: T x + amp g T(g x) + N x)."""
-        if self.symbol is None:
-            return self.pairs @ x
+        """W x: one FFT product through the symbol (three terms when
+        modulated: T x + amp g T(g x) + N x)."""
         y = self.table_product(x)
         if self.near is not None:
             y += self.amp * self.g * self.table_product(self.g * x)
@@ -218,10 +167,8 @@ class DiscreteOperator:
 
     @property
     def weight_matrix(self) -> np.ndarray:
-        """The dense m x m W: the stored one, or for a table operator
-        gathered in row blocks on first use and cached under this name."""
-        if self.symbol is None:
-            return self.pairs
+        """The dense m x m W, gathered in row blocks on first use and
+        cached under this name."""
         if "weight_matrix" not in self.__dict__:
             W = np.empty((self.size, self.size))
             step = max(1, ROW_BLOCK // self.size)
@@ -229,11 +176,6 @@ class DiscreteOperator:
                 W[lo:lo + step] = self.pair_rows(slice(lo, lo + step))
             self.__dict__["weight_matrix"] = W
         return self.__dict__["weight_matrix"]
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Strict upper triangle of weight_matrix in np.triu_indices order."""
-        return self.weight_matrix[np.triu_indices(self.size, 1)]
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -251,9 +193,6 @@ class DiscreteOperator:
         """The matrix A + diag(mass) in the form pcg takes."""
         cdiag = self.cdiag if mass is None else self.cdiag + mass
         return OperatorSystem(self, self.degree + self.kappa + cdiag)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.system() @ x
 
     def with_cdiag(self, cdiag: np.ndarray) -> "DiscreteOperator":
         """Same interaction weights with a replaced lower-order diagonal."""
@@ -328,18 +267,15 @@ def table_positions(grid: Grid, rows, cols) -> np.ndarray:
     return (zero + index[rows] @ strides)[:, None] - (index[cols] @ strides)[None, :]
 
 
-def masked_vector(grid, f) -> np.ndarray:
+def masked_vector(grid: Grid, f) -> np.ndarray:
     """Degree-of-freedom vector of f over an operator grid: a GridFunction
-    on the same mask, or an array with one entry per masked cell (per shell
-    on a RadialGrid)."""
+    on the same mask, or an array with one entry per masked cell."""
     if isinstance(f, GridFunction):
-        if f.grid is not grid and not (isinstance(grid, Grid) and
-                                       np.array_equal(f.grid.mask_flat, grid.mask_flat)):
+        if f.grid is not grid and not np.array_equal(f.grid.mask_flat, grid.mask_flat):
             raise ValueError("function mask does not match the operator grid")
         return f.masked_values
     f = np.asarray(f, dtype=np.float64)
-    size = grid.masked_count if isinstance(grid, Grid) else grid.shells
-    if f.shape != (size,):
+    if f.shape != (grid.masked_count,):
         raise ValueError("vector length does not match the operator")
     return f
 
@@ -401,26 +337,6 @@ def separable_rows(mod: SeparableCosine, xi: np.ndarray, xj: np.ndarray,
                                   + gj * (c0 + cj * C + np.sin(pj) * S))
 
 
-def richardson(level, first: int, cap: int, what: str) -> tuple:
-    """Midpoint values level(m) for m = first, 2 first, ... up to cap, each
-    extrapolated to rich = plain + (plain - previous plain) / 3.  Returns
-    (rich, m) once max |rich - previous rich| / max(|rich|, 1e-300) is
-    below NEAR_TOL; AssemblyError naming `what` if cap comes first."""
-    prev_plain, prev_rich = level(first), None
-    m = 2 * first
-    while m <= cap:
-        plain = level(m)
-        rich = plain + (plain - prev_plain) / 3.0
-        if prev_rich is not None:
-            denom = np.maximum(np.abs(rich), 1e-300)
-            if np.max(np.abs(rich - prev_rich) / denom) < NEAR_TOL:
-                return rich, m
-        prev_plain, prev_rich = plain, rich
-        m *= 2
-    raise AssemblyError(
-        f"{what} did not converge within {cap} subdivisions per axis")
-
-
 def refined_pair_weights(kernel: Kernel, centers: np.ndarray, rows: np.ndarray,
                          delta: tuple, h: float) -> tuple:
     """Symmetrized near-pair weights for all pairs (i, i + delta).
@@ -431,8 +347,11 @@ def refined_pair_weights(kernel: Kernel, centers: np.ndarray, rows: np.ndarray,
     Each midpoint level sums over the subcell points v = h delta + t: one
     constant for every row unless the modulation is separable, whose
     per-row values come from three per-offset sums (separable_rows) and
-    must lie in [1, Lambda] times the unmodulated sum.  The levels run
-    through richardson from 1 point per axis, with its AssemblyError.
+    must lie in [1, Lambda] times the unmodulated sum.  The levels
+    m = 1, 2, 4, ... points per axis are each extrapolated to
+    rich = plain + (plain - previous plain) / 3 until max |rich - previous
+    rich| / max(|rich|, 1e-300) drops below NEAR_TOL; AssemblyError if the
+    cap comes first.
     """
     dim = len(delta)
     shift = h * np.asarray(delta, dtype=np.float64)
@@ -458,8 +377,19 @@ def refined_pair_weights(kernel: Kernel, centers: np.ndarray, rows: np.ndarray,
             raise ValueError("modulation leaves the certified band [1, Lambda]")
         return out
 
-    return richardson(level, 1, cap,
-                      f"near-field quadrature for cell offset {delta}")
+    prev_plain, prev_rich = level(1), None
+    m = 2
+    while m <= cap:
+        plain = level(m)
+        rich = plain + (plain - prev_plain) / 3.0
+        if prev_rich is not None:
+            denom = np.maximum(np.abs(rich), 1e-300)
+            if np.max(np.abs(rich - prev_rich) / denom) < NEAR_TOL:
+                return rich, m
+        prev_plain, prev_rich = plain, rich
+        m *= 2
+    raise AssemblyError(f"near-field quadrature for cell offset {delta} did not "
+                        f"converge within {cap} subdivisions per axis")
 
 
 def box_tail_density(kernel: Kernel, grid: Grid) -> np.ndarray:
@@ -645,86 +575,3 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> Discr
                             tail_interval=np.stack([tail_lo, tail_hi], axis=1),
                             diagnostics=diag, symbol=symbol,
                             amp=mod.amp if separable else 0.0, g=g, near=near)
-
-
-def shell_mass_from_point(profile: RadialProfile, dim: int, rho: float,
-                          lo: float, hi: float) -> float:
-    """Integral of J(|rho e1 - y|) over the shell lo < |y| < hi, by refined
-    midpoint in the shell radius from 2 points (richardson)."""
-    def level(m: int) -> float:
-        tau = lo + (np.arange(m) + 0.5) * (hi - lo) / m
-        avg = angular_kernel_average(profile, dim, rho, tau)
-        return float(np.sum(tau ** (dim - 1) * avg) * (hi - lo) / m)
-
-    return richardson(level, 2, NEAR_CAP_1D,
-                      f"radial near-shell quadrature for shell ({lo}, {hi})")[0]
-
-
-def assemble_radial(profile: RadialProfile, R: float, shells: int,
-                    c_radial, dim: int) -> DiscreteOperator:
-    """Assemble the symmetrized radial operator on uniform shells of B_R.
-
-    c_radial gives the lower-order coefficient per shell and must be
-    non-decreasing outward, as the increasing rearrangement demands.
-    """
-    rgrid = RadialGrid(dimension=dim, radius=R, shells=shells)
-    c = np.zeros(shells) if c_radial is None else np.asarray(c_radial, dtype=np.float64)
-    if c.shape != (shells,):
-        raise ValueError("c_radial must supply one value per shell")
-    if np.any(c < 0):
-        raise ValueError("c_radial must be nonnegative")
-    if np.any(np.diff(c) < -1e-12):
-        raise ValueError("c_radial must be non-decreasing outward")
-
-    t0 = time.perf_counter()
-    mid = rgrid.midpoints
-    vols = rgrid.volumes
-    edges = rgrid.edges
-    sphere = surface_area(dim)
-    W = np.zeros((shells, shells))
-
-    # far shell pairs: midpoint in both radial variables
-    for k in range(shells):
-        ls = np.arange(k + 3, shells)
-        if ls.size:
-            avg = angular_kernel_average(profile, dim, mid[k], mid[ls])
-            W[k, ls] = avg * vols[k] * vols[ls] / sphere
-            W[ls, k] = W[k, ls]
-
-    # near shell pairs: point against refined radial interval, symmetrized
-    for k in range(shells):
-        for l in range(k + 1, min(k + 3, shells)):
-            q_kl = shell_mass_from_point(profile, dim, mid[k], edges[l], edges[l + 1])
-            q_lk = shell_mass_from_point(profile, dim, mid[l], edges[k], edges[k + 1])
-            W[k, l] = W[l, k] = 0.5 * (vols[k] * q_kl + vols[l] * q_lk)
-
-    kappa = np.array([vols[k] * exterior_ball_mass(profile, dim, mid[k], R)
-                      for k in range(shells)])
-
-    diag = {
-        "mode": "radial",
-        "dimension": dim,
-        "shells": shells,
-        "radius": R,
-        "matvec": "dense",
-        "assembly_seconds": time.perf_counter() - t0,
-    }
-    return DiscreteOperator(grid=rgrid, volumes=vols, pairs=W,
-                            kappa=kappa, cdiag=c * vols,
-                            tail_interval=np.stack([kappa, kappa], axis=1),
-                            diagnostics=diag)
-
-
-def write_operator_csv(op: DiscreteOperator, path) -> None:
-    """Triplet export (i, j, w) of the strict upper triangle, using flat box
-    cell ids for grid operators and shell ids for radial ones."""
-    if isinstance(op.grid, Grid):
-        ids = op.grid.masked_indices
-    else:
-        ids = np.arange(op.size)
-    W = op.weight_matrix
-    with open(path, "w", newline="") as fh:
-        fh.write("i,j,w\n")
-        for i in range(op.size - 1):
-            for b, w in zip(ids[i + 1:], W[i, i + 1:]):
-                fh.write(f"{ids[i]},{b},{w:.17g}\n")

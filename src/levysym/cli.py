@@ -724,9 +724,10 @@ def estimate_bytes(cfg):
     and a separable_cosine one adds O(m) vectors and a sparse band, so the
     count is (2n)^N box arrays, the coarea walk's b x b blocks (b =
     cut_block, at most m) and O(m) vectors, in 2-D the tail's
-    (representatives, TAIL_ANGLES) blocks, and in a parabolic run its
-    per-step loads and states.  Fixed I/O overhead (under 1 MB) is not
-    counted."""
+    (representatives, TAIL_ANGLES) blocks, and in a parabolic run the
+    states and loads both trajectories keep (4 steps m), plus the per-step
+    box loads of f and f# (2 steps cell_count) when f has a time factor.
+    Fixed I/O overhead (under 1 MB) is not counted."""
     grid = scenario_grid(cfg)
     m, dim = grid.masked_count, grid.dimension
     b = min(m, cut_block(grid))
@@ -742,7 +743,10 @@ def estimate_bytes(cfg):
         reps = min(m, k * (k + 1) // 2, ROW_BLOCK // TAIL_ANGLES)
         floats += 7 * reps * TAIL_ANGLES
     if cfg.time is not None:
-        floats += 8 * cfg.time["steps"] * grid.cell_count
+        steps = cfg.time["steps"]
+        floats += 4 * steps * m
+        if cfg.f.get("time_factor", "none") != "none":
+            floats += 2 * steps * grid.cell_count
     return 8 * floats
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "tail_primitive",
     "exterior_ball_mass",
     "ball_mass",
-    "angular_kernel_average",
 ]
 
 _QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-9, limit=200)
@@ -552,27 +551,3 @@ def ball_mass(profile: RadialProfile, dim: int, rho: float, r: float,
     weight = surface_area(dim - 1) * np.sin(theta) ** (dim - 2)
     seg = prim(t1) - prim(t2)
     return float(np.sum(w * 2.0 * u * weight * seg))
-
-
-def angular_kernel_average(profile: RadialProfile, dim: int, rho, tau,
-                           angles: int = 256) -> np.ndarray:
-    """Integral over the unit sphere of j(|rho e1 - tau y'|) dH(y').
-
-    dim = 1 uses the two-point sphere {-1, +1} exactly; dim = 2 uses a
-    uniform-angle trapezoid rule (periodic, so spectrally accurate); higher
-    dimensions use Gauss-Legendre in the polar angle. rho and tau broadcast.
-    """
-    rho = np.asarray(rho, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    if dim == 1:
-        return profile.evaluate(np.abs(rho - tau)) + profile.evaluate(rho + tau)
-    if dim == 2:
-        theta = 2.0 * math.pi * np.arange(angles) / angles
-        dist = np.sqrt(rho[..., None] ** 2 + tau[..., None] ** 2
-                       - 2.0 * rho[..., None] * tau[..., None] * np.cos(theta))
-        return np.sum(profile.evaluate(dist), axis=-1) * (2.0 * math.pi / angles)
-    theta, w = _polar_nodes(0.0, math.pi, angles)
-    dist = np.sqrt(rho[..., None] ** 2 + tau[..., None] ** 2
-                   - 2.0 * rho[..., None] * tau[..., None] * np.cos(theta))
-    weight = surface_area(dim - 1) * np.sin(theta) ** (dim - 2)
-    return np.sum(w * weight * profile.evaluate(dist), axis=-1)

@@ -12,9 +12,8 @@ deterministic.
 
 Both solve the operator's `system`, an OperatorSystem whose products go
 through the operator's weights_times: FFT products with the offset table
-on a grid (two more and a sparse band product for separable_cosine), a
-dense product on a radial grid.  The mass shift is a diagonal added to
-that system once per march.
+(two more and a sparse band product for separable_cosine).  The mass
+shift is a diagonal added to that system once per march.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = [
     "TimeGrid",
     "Trajectory",
     "discrete_energy_ledger",
-    "minimality_probe",
     "parabolic_solve",
     "pcg",
     "solve_elliptic",
@@ -111,16 +109,14 @@ def pcg(A, b: np.ndarray, tol: float, max_iter: int,
 @dataclass(frozen=True, eq=False)
 class EllipticSolution:
     vector: np.ndarray
-    function: GridFunction | None
+    function: GridFunction
     iterations: int
     residual_norm: float
     energy_value: float
     residual_history: tuple
 
 
-def to_grid_function(op: DiscreteOperator, vec: np.ndarray) -> GridFunction | None:
-    if not isinstance(op.grid, Grid):
-        return None
+def to_grid_function(op: DiscreteOperator, vec: np.ndarray) -> GridFunction:
     out = np.zeros(op.grid.cell_count)
     out[op.grid.masked_indices] = vec
     return GridFunction(op.grid, out)
@@ -139,28 +135,6 @@ def solve_elliptic(op: DiscreteOperator, f, tol: float = 1e-10,
     return EllipticSolution(vector=x, function=to_grid_function(op, x),
                             iterations=iters, residual_norm=rel,
                             energy_value=value, residual_history=history)
-
-
-def minimality_probe(op: DiscreteOperator, f, solution: EllipticSolution,
-                     perturbations: int = 100, scale: float = 1e-3,
-                     seed: int = 0) -> float:
-    """Smallest change of the quadratic functional over random probes.
-
-    The functional is 1/2 energy(u) - (b, u); at the discrete minimizer
-    every probe of norm `scale` changes it by at least -1e-8.
-    """
-    b = build_rhs(op, f)
-    u = solution.vector
-    base = 0.5 * energy(op, u) - float(b @ u)
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    for _ in range(perturbations):
-        d = rng.normal(size=op.size)
-        d *= scale / np.linalg.norm(d)
-        probe = u + d
-        val = 0.5 * energy(op, probe) - float(b @ probe)
-        worst = min(worst, val - base)
-    return float(worst)
 
 
 class TimeGrid(NamedTuple):
@@ -206,7 +180,7 @@ def time_average(source: Callable, grid: Grid, timegrid: TimeGrid) -> list:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    grid: object
+    grid: Grid
     timegrid: TimeGrid
     initial: np.ndarray
     states: np.ndarray
@@ -221,7 +195,7 @@ class Trajectory:
             return self.operator_factory(n)
         return self.operator_factory
 
-    def state_function(self, n: int) -> GridFunction | None:
+    def state_function(self, n: int) -> GridFunction:
         return to_grid_function(self.operator_at(0), self.states[n])
 
 
@@ -345,17 +319,9 @@ def write_trajectory(traj: Trajectory, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     width = len(str(traj.timegrid.steps))
-    is_grid = isinstance(traj.grid, Grid)
     for n in range(traj.timegrid.steps):
-        path = directory / f"u_{n + 1:0{width}d}.csv"
-        if is_grid:
-            write_gridfunction_csv(traj.state_function(n), path)
-        else:
-            mids = traj.grid.midpoints
-            with open(path, "w", newline="") as fh:
-                fh.write("rho,value\n")
-                for r, v in zip(mids, traj.states[n]):
-                    fh.write(f"{r:.17g},{v:.17g}\n")
+        write_gridfunction_csv(traj.state_function(n),
+                               directory / f"u_{n + 1:0{width}d}.csv")
     ledger = discrete_energy_ledger(traj)
     index = {
         "t": [float(t) for t in traj.timegrid.times[1:]],

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .assembly import DiscreteOperator, RadialGrid, energy, masked_vector
+from .assembly import DiscreteOperator, energy, masked_vector
 from .kernels import (IntegrabilityError, RadialProfile, ball_mass,
                       exterior_ball_mass, ray_integral, rearrange_profile,
                       surface_area, tail_primitive)
@@ -116,20 +116,9 @@ def write_reports(reports: Sequence[CheckReport], path, config_digest: str) -> N
             fh.write("\n")
 
 
-def grid_step(grid) -> float:
-    if isinstance(grid, Grid):
-        return grid.h
-    if isinstance(grid, RadialGrid):
-        return grid.delta
-    raise TypeError("unsupported grid type")
-
-
-def base_metadata(grid) -> dict:
-    if isinstance(grid, Grid):
-        return {"mode": "grid", "dimension": grid.dimension, "n": grid.n,
-                "half_width": grid.half_width, "masked_cells": int(grid.masked_count)}
-    return {"mode": "radial", "dimension": grid.dimension,
-            "shells": int(grid.shells), "radius": grid.radius}
+def base_metadata(grid: Grid) -> dict:
+    return {"mode": "grid", "dimension": grid.dimension, "n": grid.n,
+            "half_width": grid.half_width, "masked_cells": int(grid.masked_count)}
 
 
 # --- concentration comparison -----------------------------------------------
@@ -167,8 +156,7 @@ def check_energy_comparison(op_u: DiscreteOperator, u, op_v: DiscreteOperator,
                             v, kappa_tol: float = DEFAULT_KAPPA_TOL) -> CheckReport:
     """The original solution's energy never exceeds the symmetrized one's."""
     slack = energy(op_u, u) - energy(op_v, v)
-    h = grid_step(op_u.grid)
-    tol = tau(h, kappa_tol)
+    tol = tau(op_u.grid.h, kappa_tol)
     return CheckReport(check="energy_comparison", slack=slack, tolerance=tol,
                        passed=slack <= tol, worst_location={"scope": "global"},
                        metadata=base_metadata(op_u.grid))
@@ -181,8 +169,6 @@ def check_parabolic_comparison(traj_u: Trajectory, traj_v: Trajectory,
     if traj_u.timegrid != traj_v.timegrid:
         raise ValueError("trajectories use different time grids")
     gu = traj_u.grid
-    if not (isinstance(gu, Grid) and isinstance(traj_v.grid, Grid)):
-        raise ValueError("trajectories must live on grids")
     if radii is None:
         radii = default_radii(gu)
     op_u0, op_v0 = traj_u.operator_at(0), traj_v.operator_at(0)
@@ -344,12 +330,10 @@ def perimeter_of(op: DiscreteOperator, inside: np.ndarray) -> float:
     return float(inside @ op.weights_times(~inside) + op.kappa @ inside)
 
 
-def cut_block(grid) -> int:
+def cut_block(grid: Grid) -> int:
     """Cells per block of coarea_sums: CUT_BLOCK times max(1, square root
     of the (2n)^N FFT box's cell count // 128), so max(1, n // 64) on a 2-D
-    grid and CUT_BLOCK in 1-D below n = 8192 and on a RadialGrid."""
-    if not isinstance(grid, Grid):
-        return CUT_BLOCK
+    grid and CUT_BLOCK in 1-D below n = 8192."""
     return CUT_BLOCK * max(1, math.isqrt((2 * grid.n) ** grid.dimension) // 128)
 
 

@@ -9,19 +9,15 @@ from scipy import integrate, sparse
 import levysym.assembly as assembly
 from levysym.assembly import (
     AssemblyError,
-    RadialGrid,
     assemble,
-    assemble_radial,
     build_rhs,
     energy,
-    write_operator_csv,
 )
 from levysym.kernels import (
     Kernel,
     RadialProfile,
     eval_kernel,
     make_modulation,
-    surface_area,
     tail_primitive,
 )
 from levysym.env import thread_setting
@@ -30,6 +26,11 @@ from levysym.rearrange import Grid, GridFunction
 
 def frac_kernel(s, dim=1, gamma=1.0):
     return Kernel(profile=RadialProfile.power(s, dimension=dim, gamma=gamma))
+
+
+def upper_weights(op):
+    """Strict upper triangle of the weight matrix in np.triu_indices order."""
+    return op.weight_matrix[np.triu_indices(op.size, 1)]
 
 
 class TestPairWeights:
@@ -42,8 +43,9 @@ class TestPairWeights:
         op = assemble(k, g, None)
         d = abs(g.centers[10, 0] - g.centers[2, 0])
         want = k.profile.evaluate(d) * g.h ** 2
-        assert op.weights.size == 1
-        assert op.weights[0] == want
+        upper = upper_weights(op)
+        assert upper.size == 1
+        assert upper[0] == want
 
     def test_deterministic_reassembly(self):
         g = Grid.full_box(1, 1.0, 32)
@@ -52,7 +54,7 @@ class TestPairWeights:
                    modulation_tag="rough_cosine")
         a = assemble(k, g, None)
         b = assemble(k, g, None)
-        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(upper_weights(a), upper_weights(b))
         assert np.array_equal(a.kappa, b.kappa)
 
     def test_near_weight_against_dblquad(self):
@@ -132,14 +134,6 @@ class TestPairWeights:
         g = Grid.full_box(1, 1.0, 16)
         with pytest.raises(AssemblyError):
             assemble(frac_kernel(0.75), g, None)
-
-    def test_nonconvergent_shell_quadrature_names_the_shell(self, monkeypatch):
-        # the radial near shells start the shared loop at 2 points, so a
-        # cap of 4 stops it before any extrapolations can be compared
-        monkeypatch.setattr(assembly, "NEAR_CAP_1D", 4)
-        with pytest.raises(AssemblyError, match=r"shell \(0\.25, 0\.5\)"):
-            assemble_radial(RadialProfile.power(0.5, dimension=1), 1.0, 4,
-                            None, 1)
 
 
 def modulated_kernel(tag, dim, s=0.4, lam=2.0):
@@ -271,7 +265,7 @@ class TestToeplitzSystem:
         rng = np.random.default_rng(7)
         for x in (rng.normal(size=op.size), np.ones(op.size)):
             want = op.matrix @ x
-            got = op.matvec(x)
+            got = op.system() @ x
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("name", FOURIER_CASES)
@@ -305,14 +299,6 @@ class TestToeplitzSystem:
         np.testing.assert_allclose(op.system(mass).diagonal(), np.diag(op.matrix) + mass,
                                    rtol=1e-14, atol=0.0)
 
-    def test_radial_operator_stays_dense(self):
-        rad = assemble_radial(RadialProfile.power(0.4, dimension=2), 1.0, 12, None, 2)
-        assert rad.diagnostics["matvec"] == "dense"
-        assert rad.symbol is None and rad.pairs.shape == (rad.size, rad.size)
-        x = np.random.default_rng(10).normal(size=rad.size)
-        want = rad.matrix @ x
-        assert np.max(np.abs(rad.system() @ x - want)) <= 1e-13 * np.max(np.abs(want))
-
 
 def pair_energy(op, u):
     """Reference energy: w (u_i - u_j)^2 summed pair by pair over i < j
@@ -341,15 +327,11 @@ class TestStoredPairs:
             "table-2d": assemble(frac_kernel(0.4, dim=2), g2, c),
             "separable_cosine": assemble(modulated_kernel("separable_cosine", 2), g2, c),
             "rough_cosine": assemble(modulated_kernel("rough_cosine", 2), g2, None),
-            "radial": assemble_radial(RadialProfile.power(0.4, dimension=2), 1.0, 24,
-                                      np.linspace(0.0, 1.0, 24), 2),
         }
 
-    @pytest.mark.parametrize("name", ["table-2d", "separable_cosine",
-                                      "rough_cosine", "radial"])
+    @pytest.mark.parametrize("name", ["table-2d", "separable_cosine", "rough_cosine"])
     def test_energy_matches_pair_sum(self, cases, name):
         op = cases[name]
-        assert (op.symbol is not None) == (name != "radial")
         rng = np.random.default_rng(11)
         for u in (rng.normal(size=op.size), rng.uniform(0.0, 1.0, op.size)):
             assert energy(op, u) == pytest.approx(pair_energy(op, u), rel=1e-12)
@@ -382,11 +364,6 @@ class TestStoredPairs:
         assert np.array_equal(gathered, gathered.T)
         assert not np.any(np.diag(gathered))
         assert np.all(gathered[band & ~np.eye(op.size, dtype=bool)] > 0)
-
-    def test_dense_pairs_must_be_square(self, cases):
-        op = cases["radial"]
-        with pytest.raises(ValueError, match="m x m"):
-            replace(op, pairs=op.pairs[:-1])
 
 
 def direct_kappa(kernel, grid):
@@ -576,7 +553,7 @@ class TestModulationForms:
         assert op.diagnostics["matvec"] == "fft"
         assert op.pairs.shape == ((2 * g.n - 1) ** dim,)
         x = np.random.default_rng(4).normal(size=op.size)
-        y = op.matvec(x)
+        y = op.system() @ x
         assert dense_arrays(op) == []
         W, kappa = reference_weights(k, g, reference_near(k, g)[0])
         np.testing.assert_allclose(op.weight_matrix, W, rtol=1e-13, atol=0.0)
@@ -646,7 +623,7 @@ class TestTableEdgeCases:
             str(d) for d in assembly.near_offsets(dim)
             if assembly.lex_positive(d) and max(map(abs, d)) < n}
         np.testing.assert_allclose(op.kappa, direct_kappa(k, g), rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(op.matvec(np.ones(op.size)),
+        np.testing.assert_allclose(op.system() @ np.ones(op.size),
                                    op.matrix @ np.ones(op.size), rtol=1e-13)
 
     def test_full_box_has_no_inbox_killing(self):
@@ -871,16 +848,17 @@ class TestKilling:
 
 class TestRhs:
     def test_radial_vectors_and_mask_checks(self):
-        rad = assemble_radial(RadialProfile.power(0.4, dimension=1), 1.0, 8, None, 1)
+        # the symmetrized operator on the ball grid of a half-masked grid:
+        # same cell count, another mask
+        half = Grid(1, 1.0, 16, np.arange(16) < 8)
+        rad = assemble(frac_kernel(0.4), half.ball_grid, None)
         f = np.linspace(0.0, 1.0, 8)
         np.testing.assert_array_equal(build_rhs(rad, f), rad.volumes * f)
         with pytest.raises(ValueError, match="length"):
             build_rhs(rad, np.ones(7))
-        g = Grid.full_box(1, 1.0, 16)
         with pytest.raises(ValueError, match="mask"):
-            build_rhs(rad, GridFunction.constant(g, 1.0))
-        op = assemble(frac_kernel(0.3), g, None)
-        half = Grid(1, 1.0, 16, np.arange(16) < 8)
+            build_rhs(rad, GridFunction.constant(half, 1.0))
+        op = assemble(frac_kernel(0.3), Grid.full_box(1, 1.0, 16), None)
         with pytest.raises(ValueError, match="mask"):
             energy(op, GridFunction.constant(half, 1.0))
         with pytest.raises(ValueError, match="length"):
@@ -899,75 +877,6 @@ class TestRhs:
             assemble(frac_kernel(0.3), g, c)
 
 
-class TestRadial:
-    def test_shell_geometry(self):
-        rg = RadialGrid(dimension=2, radius=1.0, shells=4)
-        assert np.allclose(rg.volumes.sum(), math.pi, rtol=1e-14)
-        assert np.allclose(rg.midpoints, [0.125, 0.375, 0.625, 0.875])
-
-    def test_far_weight_formula(self):
-        prof = RadialProfile.exponential(1.0, dimension=2)
-        rad = assemble_radial(prof, 1.0, 8, None, 2)
-        rg = rad.grid
-        from levysym.kernels import angular_kernel_average
-        k, l = 1, 6
-        want = (angular_kernel_average(prof, 2, rg.midpoints[k], rg.midpoints[l])
-                * rg.volumes[k] * rg.volumes[l] / surface_area(2))
-        assert rad.weight_matrix[k, l] == pytest.approx(want, rel=1e-12)
-
-    def test_kappa_uses_exterior_mass(self):
-        prof = RadialProfile.exponential(1.0, dimension=1)
-        rad = assemble_radial(prof, 2.0, 8, None, 1)
-        from levysym.kernels import exterior_ball_mass
-        for k in (0, 3, 7):
-            want = rad.grid.volumes[k] * exterior_ball_mass(prof, 1, rad.grid.midpoints[k], 2.0)
-            assert rad.kappa[k] == pytest.approx(want, rel=1e-12)
-
-    def test_c_monotonicity_enforced(self):
-        prof = RadialProfile.exponential(1.0, dimension=1)
-        with pytest.raises(ValueError):
-            assemble_radial(prof, 1.0, 4, [1.0, 0.5, 0.5, 0.5], 1)
-        assemble_radial(prof, 1.0, 4, [0.5, 0.5, 1.0, 1.0], 1)
-
-    def test_matches_full_grid_1d(self):
-        # symmetric full grid and the shell reduction must agree on radial
-        # inputs; far weights coincide exactly, near ones to quadrature tol
-        R, n = 1.5, 128
-        g = Grid.full_box(1, R, n)
-        prof = RadialProfile.power(0.3, dimension=1)
-        op = assemble(Kernel(profile=prof), g, None)
-        rad = assemble_radial(prof, R, n // 2, None, 1)
-        x = g.centers[:, 0]
-        u_cells = np.exp(-2 * x * x) * (R * R - x * x)
-        rho = rad.grid.midpoints
-        u_shell = np.exp(-2 * rho * rho) * (R * R - rho * rho)
-        act_full = (op.matrix @ u_cells) / g.h
-        act_rad = (rad.matrix @ u_shell) / rad.grid.volumes
-        rel = np.abs(act_full[n // 2:] - act_rad) / np.abs(act_rad).max()
-        assert rel.max() <= 1e-3
-
-    def test_spd(self):
-        prof = RadialProfile.power(0.5, dimension=2)
-        rad = assemble_radial(prof, 1.0, 16, np.linspace(0, 1, 16), 2)
-        A = rad.matrix
-        assert np.array_equal(A, A.T)
-        assert np.linalg.eigvalsh(A)[0] > 0
-
-
-class TestExport:
-    def test_triplet_csv(self, tmp_path):
-        g = Grid.full_box(1, 1.0, 8)
-        op = assemble(frac_kernel(0.3), g, None)
-        p = tmp_path / "op.csv"
-        write_operator_csv(op, p)
-        lines = p.read_text().strip().split("\n")
-        assert lines[0] == "i,j,w"
-        assert len(lines) - 1 == op.size * (op.size - 1) // 2
-        i, j, w = lines[1].split(",")
-        assert int(i) < int(j)
-        assert float(w) == op.weights[0]
-
-
 class TestThreads:
     def test_thread_count_invariance(self, monkeypatch):
         g = Grid.full_box(1, 1.0, 48)
@@ -976,7 +885,7 @@ class TestThreads:
         a = assemble(k, g, None)
         monkeypatch.setenv("LEVYSYM_THREADS", "4")
         b = assemble(k, g, None)
-        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(upper_weights(a), upper_weights(b))
         assert np.array_equal(a.kappa, b.kappa)
         assert b.diagnostics["threads"] == 4
 

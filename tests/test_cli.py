@@ -354,6 +354,16 @@ class TestRunScenario:
             run_scenario(cfg, "elliptic")
 
 
+def traced_peak(cfg, mode):
+    """tracemalloc peak bytes of one run_scenario call."""
+    tracemalloc.start()
+    try:
+        run_scenario(cfg, mode)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestMemoryEstimate:
     BOXES = [[[-1.0, -0.1], [-1.0, 1.0]], [[0.1, 1.0], [-0.5, 0.5]]]
     MODULATED = {"kind": "fractional", "s": 0.5, "Lambda": 2.0,
@@ -377,13 +387,19 @@ class TestMemoryEstimate:
             checks = ["parabolic", "comparison"]
         cfg = parse_config(write_config(tmp_path, dimension=dim, n=n, checks=checks,
                                         **extra))
-        tracemalloc.start()
-        try:
-            run_scenario(cfg, "parabolic" if steps else "elliptic")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= estimate_bytes(cfg)
+        assert traced_peak(cfg, "parabolic" if steps else "elliptic") <= estimate_bytes(cfg)
+
+    @pytest.mark.parametrize("factor", ["none", "decay"])
+    def test_parabolic_estimate_within_1_5x_of_peak(self, tmp_path, factor):
+        # the parabolic-1d1024 geometry: the march keeps the states and
+        # loads of both trajectories, and only a time factor adds per-step
+        # box loads of f and f#
+        cfg = parse_config(write_config(
+            tmp_path, n=1024, checks=["parabolic", "comparison"],
+            time={"horizon": 1.0, "steps": 400},
+            f={"kind": "constant", "value": 1.0, "time_factor": factor}))
+        peak = traced_peak(cfg, "parabolic")
+        assert peak <= estimate_bytes(cfg) <= 1.5 * peak
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_small_2d_estimate_within_4x_of_peak(self, tmp_path, n):
@@ -393,12 +409,7 @@ class TestMemoryEstimate:
         cfg = parse_config(write_config(
             tmp_path, dimension=2, n=n, domain={"type": "boxes", "pieces": self.BOXES},
             checks=["comparison", "energy", "polya_szego", "coarea"]))
-        tracemalloc.start()
-        try:
-            run_scenario(cfg, "elliptic")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(cfg, "elliptic")
         assert peak <= estimate_bytes(cfg) <= 4 * peak
 
     def test_separable_n128_under_default_cap(self, tmp_path):

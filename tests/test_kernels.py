@@ -13,7 +13,6 @@ from levysym.kernels import (
     RadialProfile,
     RoughCosine,
     SeparableCosine,
-    angular_kernel_average,
     ball_mass,
     ball_volume,
     eval_kernel,
@@ -390,32 +389,3 @@ class TestGeometricIntegrals:
             exterior_ball_mass(j, 2, rho=1.5, r=1.0)
         with pytest.raises(ValueError):
             ball_mass(j, 2, rho=0.5, r=1.0)
-
-
-class TestAngularAverage:
-    def test_two_point_sphere(self):
-        j = RadialProfile.power(0.5, dimension=1)
-        val = angular_kernel_average(j, 1, 0.3, 0.8)
-        assert val == pytest.approx(j.evaluate(0.5) + j.evaluate(1.1), rel=1e-15)
-
-    def test_center_value(self):
-        # rho = 0: every direction sees the same radius tau
-        j = RadialProfile.exponential(1.0, dimension=2)
-        val = angular_kernel_average(j, 2, 0.0, 0.7)
-        assert val == pytest.approx(surface_area(2) * j.evaluate(0.7), rel=1e-12)
-
-    def test_monte_carlo_oracle_2d(self):
-        # smooth tabulated bump profile, uniform angles on the circle
-        radii = np.linspace(0.1, 3.0, 30)
-        values = np.exp(-((radii - 0.2) ** 2))
-        values = np.sort(values)[::-1]
-        j = RadialProfile.tabulated(radii, values, dimension=2)
-        rho, tau = 0.3, 0.7
-        val = angular_kernel_average(j, 2, rho, tau)
-        rng = np.random.default_rng(1234)
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=200_000)
-        dist = np.sqrt(rho ** 2 + tau ** 2 - 2 * rho * tau * np.cos(theta))
-        samples = 2.0 * math.pi * j.evaluate(dist)
-        mc = samples.mean()
-        sigma = samples.std(ddof=1) / math.sqrt(samples.size)
-        assert abs(val - mc) <= 3.0 * sigma

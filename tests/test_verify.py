@@ -8,14 +8,14 @@ and the acceptance suite reruns them at full trial counts.
 import inspect
 import json
 import math
-from dataclasses import replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
 from levysym import verify
-from levysym.assembly import RadialGrid, assemble, build_rhs
+from levysym.assembly import DiscreteOperator, assemble, build_rhs
 from levysym.kernels import (IntegrabilityError, Kernel, RadialProfile,
                              make_modulation)
 from levysym.rearrange import (Grid, GridFunction, concentration_dominates,
@@ -608,6 +608,25 @@ def table_pair(dim, tag="none"):
 READER_TAGS = ("none", "separable_cosine")
 
 
+@dataclass(frozen=True, eq=False)
+class DenseOperator(DiscreteOperator):
+    """The reference reader: W read from a stored dense m x m array
+    instead of gathered from the offset table and band."""
+
+    dense: np.ndarray | None = None
+
+    def pair_rows(self, rows, cols=None):
+        return self.dense[rows] if cols is None else self.dense[rows][:, cols]
+
+    def weights_times(self, x):
+        return self.dense @ x
+
+
+def dense_copy(op):
+    return DenseOperator(**{f.name: getattr(op, f.name) for f in fields(op)},
+                         dense=op.weight_matrix)
+
+
 class TestTableReaders:
     """Checks read W through pair_rows and weights_times only."""
 
@@ -641,7 +660,7 @@ class TestTableReaders:
             grid, op_u, op_v = table_pair(dim, tag)
             rng = np.random.default_rng(40 + dim)
             for op in (op_u, op_v):
-                dense = replace(op, pairs=op.weight_matrix, symbol=None)
+                dense = dense_copy(op)
                 vals = 0.25 * rng.integers(0, 6, op.size)
                 inside = vals > 0.6
                 assert verify.perimeter_of(op, inside) == pytest.approx(
@@ -661,7 +680,7 @@ class TestTableReaders:
             f = GridFunction.constant(grid, 1.0)
             us = schwarz_rearrangement(solve_elliptic(op_u, f).function)
             fs = schwarz_rearrangement(f)
-            dense_v = replace(op_v, pairs=op_v.weight_matrix, symbol=None)
+            dense_v = dense_copy(op_v)
             zeros = np.zeros(op_v.size)
             levels = np.linspace(0.2, 0.8, 4) * float(np.max(us.values))
             for a, b in zip(check_level_set_inequality(op_v, us, zeros, fs, levels),
@@ -674,7 +693,7 @@ def coarea_operators(dim):
     separable_cosine (table plus g and a sparse band) and dense."""
     _, op, _ = table_pair(dim)
     _, op_sep, _ = table_pair(dim, "separable_cosine")
-    dense = replace(op, pairs=op.weight_matrix, symbol=None)
+    dense = dense_copy(op)
     return [("table", op), ("separable_cosine", op_sep), ("dense", dense)]
 
 
@@ -724,7 +743,6 @@ class TestCoareaBlocks:
         assert verify.cut_block(box_grid(128, dim=2)) == 512
         assert verify.cut_block(box_grid(256, dim=2)) == 1024
         assert verify.cut_block(box_grid(1024)) == 256
-        assert verify.cut_block(RadialGrid(2, 1.0, 16)) == 256
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_pair_rows_column_selection(self, dim):
