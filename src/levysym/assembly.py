@@ -23,8 +23,10 @@ whole kernel a J is translation invariant: T carries a at the offset
 vectors and one near constant per offset, refined with a J, and W = T.
 A SeparableCosine modulation 1 + amp g(x) g(y) gives
 W = T + amp G T G + N with G = diag(g) at the masked cells and N the
-sparse band of near weights, which differ from row to row: each
-refinement level builds them from three sums per offset (separable_rows).
+band of near weights, which differ from row to row: each refinement
+level builds them from three sums per offset (separable_rows).  N is a
+scipy.sparse CSR matrix, and near_field is the only place that imports
+scipy.sparse, so an operator without that modulation loads no scipy.
 assemble refuses any other modulation callable with a ValueError.  Outside
 DiscreteOperator, W is read only through pair_rows (rows of W) and
 weights_times (W x); weight_matrix and matrix are explicit
@@ -51,9 +53,9 @@ import time
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .env import thread_setting
 from .kernels import (
@@ -64,6 +66,9 @@ from .kernels import (
     tail_primitive,
 )
 from .rearrange import Grid, GridFunction
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "AssemblyError",
@@ -100,10 +105,11 @@ class DiscreteOperator:
     T_ij = T[zero + p_i - p_j] (see table_positions), and symbol its
     Fourier symbol (see OffsetProduct).  W is T, or with a separable
     modulation T + amp G T G + near, G = diag(g) over the masked cells and
-    near the sparse band of weights between masked cells at Chebyshev
-    index distance 1 or 2, where T is zero.  pair_rows and weights_times
-    read W in both forms without building an m x m array.  kappa and
-    cdiag are the killing and lower-order diagonals, already
+    near the band of weights between masked cells at Chebyshev index
+    distance 1 or 2, where T is zero, as a scipy.sparse CSR matrix that
+    near_field builds (None without that modulation).  pair_rows and
+    weights_times read W in both forms without building an m x m array.
+    kappa and cdiag are the killing and lower-order diagonals, already
     volume-weighted.
     """
 
@@ -470,6 +476,8 @@ def near_field(kernel: Kernel, grid: Grid, kappa: np.ndarray) -> tuple:
         sel, cols = rows[tmasked], local[tflat[tmasked]]
         band += [(sel, cols, wvals[tmasked]), (cols, sel, wvals[tmasked])]
         kappa[rows[~tmasked]] += wvals[~tmasked]
+    from scipy import sparse
+
     i, j, w = (np.concatenate(part) for part in zip(*band))
     return sparse.csr_matrix((w, (i, j)), shape=(midx.size, midx.size)), depths
 

@@ -15,7 +15,6 @@ import json
 import math
 import os
 import resource
-import sys
 import time
 import warnings
 

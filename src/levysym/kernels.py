@@ -3,17 +3,19 @@
 A kernel is K(x, y) = a(x, y) * J(|x - y|) where J is a positive radially
 decreasing profile and the modulation a is symmetric with 1 <= a <= Lambda.
 The profile kinds shipped here all have exact or certified radial integrals,
-which the assembly and verification layers rely on.
+which the assembly and verification layers rely on.  scipy is imported
+inside the functions that need it (the exponential kind's incomplete gamma,
+the logarithmic kind's quadrature and exp_weight_mass), so the other kinds
+load numpy only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import integrate, special
 
 __all__ = [
     "KernelDomainError",
@@ -189,6 +191,8 @@ def _power_ray(coef: float, expo: float, a: float, b: float) -> float:
 
 def _exp_ray(gamma: float, lam: float, moment: float, a: float, b: float) -> float:
     """Integral of gamma * exp(-lam r) r^moment over (a, b) via incomplete gamma."""
+    from scipy import special
+
     mp1 = moment + 1.0
     scale = gamma * math.gamma(mp1) / lam ** mp1
 
@@ -230,6 +234,8 @@ def ray_integral(profile: RadialProfile, a: float, b: float, moment: float) -> f
     expo = moment - n - 2.0
     if b == math.inf and expo >= -1.0:
         raise IntegrabilityError("logarithmic profile integral diverges at infinity")
+    from scipy import integrate
+
     eps_, gamma_ = profile.eps, profile.gamma
 
     def f(r):
@@ -263,6 +269,8 @@ def tail_primitive(profile: RadialProfile, dim: int) -> Callable[[np.ndarray], n
 
         return p_sum
     if profile.kind == "exponential":
+        from scipy import special
+
         lam = profile.lam
         mp1 = m + 1.0
         scale = gamma * math.gamma(mp1) / lam ** mp1
@@ -485,6 +493,8 @@ def exp_weight_mass(profile: RadialProfile, t: float, cutoff: float) -> ExpWeigh
             return 0.0 if j0 == 0.0 else math.exp(-t / j0)
         j = profile.evaluate(rho)
         return (0.0 if j == 0.0 else math.exp(-t / j)) * rho ** (n - 1.0)
+
+    from scipy import integrate
 
     mass, _ = integrate.quad(integrand, 0.0, cutoff, **_QUAD_OPTS)
     mass *= surface_area(n)

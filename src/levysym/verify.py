@@ -19,9 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .assembly import DiscreteOperator, energy, masked_vector
-from .kernels import (IntegrabilityError, RadialProfile, ball_mass,
-                      exterior_ball_mass, ray_integral, rearrange_profile,
-                      surface_area, tail_primitive)
+from .kernels import (RadialProfile, ball_mass, exterior_ball_mass,
+                      ray_integral, rearrange_profile, surface_area,
+                      tail_primitive)
 from .rearrange import (Grid, GridFunction, concentration_curve, default_radii,
                         schwarz_rearrangement)
 from .solvers import Trajectory, solve_elliptic, to_grid_function
