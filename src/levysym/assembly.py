@@ -24,10 +24,11 @@ vectors and one near constant per offset, refined with a J, and W = T.
 A SeparableCosine modulation 1 + amp g(x) g(y) gives
 W = T + amp G T G + N with G = diag(g) at the masked cells and N the
 band of near weights, which differ from row to row: each refinement
-level builds them from three sums per offset (separable_rows).  N is a
-scipy.sparse CSR matrix, and near_field is the only place that imports
-scipy.sparse, so an operator without that modulation loads no scipy.
-assemble refuses any other modulation callable with a ValueError.  Outside
+level builds them from three sums per offset (separable_rows).  N is
+stored as two (K, m) arrays, one slot per near offset (see
+DiscreteOperator), so assembly needs numpy alone; scipy serves only the
+exponential and logarithmic profile kinds (see kernels).  assemble
+refuses any other modulation callable with a ValueError.  Outside
 DiscreteOperator, W is read only through pair_rows (rows of W) and
 weights_times (W x); weight_matrix and matrix are explicit
 materialisations for small m.
@@ -53,7 +54,6 @@ import time
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -66,9 +66,6 @@ from .kernels import (
     tail_primitive,
 )
 from .rearrange import Grid, GridFunction
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 __all__ = [
     "AssemblyError",
@@ -104,10 +101,14 @@ class DiscreteOperator:
     pairs is the offset table T over the (2n - 1)^N offsets of the box,
     T_ij = T[zero + p_i - p_j] (see table_positions), and symbol its
     Fourier symbol (see OffsetProduct).  W is T, or with a separable
-    modulation T + amp G T G + near, G = diag(g) over the masked cells and
-    near the band of weights between masked cells at Chebyshev index
-    distance 1 or 2, where T is zero, as a scipy.sparse CSR matrix that
-    near_field builds (None without that modulation).  pair_rows and
+    modulation T + amp G T G + N, G = diag(g) over the masked cells and
+    N the band of weights between masked cells at Chebyshev index
+    distance 1 or 2, where T is zero.  near_field stores N as two (K, m)
+    arrays, K = len(near_offsets): near[k, i] is the weight between cell
+    i and its neighbour at the k-th offset, near_cols[k, i] that
+    neighbour's masked-local index, so slot K - 1 - k holds the opposite
+    offset; a slot without a masked neighbour holds column m and weight
+    0.  Both are None without that modulation.  pair_rows and
     weights_times read W in both forms without building an m x m array.
     kappa and cdiag are the killing and lower-order diagonals, already
     volume-weighted.
@@ -123,17 +124,23 @@ class DiscreteOperator:
     diagnostics: dict = field(default_factory=dict)
     amp: float = 0.0
     g: np.ndarray | None = None
-    near: sparse.csr_matrix | None = None
+    near: np.ndarray | None = None
+    near_cols: np.ndarray | None = None
 
     def __post_init__(self):
         m = self.size
         for name in ("kappa", "cdiag"):
             if getattr(self, name).shape != (m,):
                 raise ValueError(f"{name} must have one entry per masked cell")
-        if self.near is not None and (self.near.shape != (m, m) or self.g.shape != (m,)):
-            raise ValueError("the near band and g must match the masked cells")
+        if self.near is not None:
+            band = (len(near_offsets(self.grid.dimension)), m)
+            if (self.near.shape != band or self.near_cols.shape != band
+                    or self.g.shape != (m,)):
+                raise ValueError("the near band and g must match the masked cells")
+            if np.any(self.near[self.near_cols == m] != 0):
+                raise ValueError("a padded slot of the near band must hold weight 0")
         if (np.any(self.pairs < 0) or np.any(self.kappa < 0) or np.any(self.cdiag < 0)
-                or (self.near is not None and np.any(self.near.data < 0))):
+                or (self.near is not None and np.any(self.near < 0))):
             raise ValueError("weights, kappa and cdiag must be nonnegative")
 
     @property
@@ -142,9 +149,9 @@ class DiscreteOperator:
 
     def pair_rows(self, rows, cols=None) -> np.ndarray:
         """W[rows] for a slice or index array of masked cells, restricted to
-        the masked cells cols (an index array) when given, gathered from
-        the offset table (times 1 + amp g_i g_j, plus the near band, when
-        modulated)."""
+        the distinct masked cells cols (an index array) when given,
+        gathered from the offset table (times 1 + amp g_i g_j, plus the
+        near band, when modulated)."""
         cols = slice(None) if cols is None else cols
         midx = self.grid.masked_indices
         W = self.pairs[table_positions(self.grid, midx[rows], midx[cols])]
@@ -153,8 +160,14 @@ class DiscreteOperator:
             scaled = W * self.g[cols]
             scaled *= self.amp * self.g[rows][:, None]
             W += scaled
-            band = self.near[rows][:, cols].tocoo()
-            W[band.row, band.col] += band.data
+            # position of each masked cell among cols, -1 elsewhere and for
+            # the padding column m
+            at = np.full(self.size + 1, -1, dtype=np.int64)
+            at[np.arange(self.size)[cols]] = np.arange(W.shape[1])
+            r = np.arange(self.size)[rows]
+            c = at[self.near_cols[:, r]]
+            k, i = np.nonzero(c >= 0)
+            W[i, c[k, i]] += self.near[k, r[i]]
         return W
 
     @cached_property
@@ -164,11 +177,19 @@ class DiscreteOperator:
 
     def weights_times(self, x: np.ndarray) -> np.ndarray:
         """W x: one FFT product through the symbol (three terms when
-        modulated: T x + amp g T(g x) + N x)."""
+        modulated: T x + amp g T(g x) + N x).  N x sums the band's slots in
+        offset order, which is the order of the neighbours' masked-local
+        indices, gathered in blocks of at most ROW_BLOCK entries."""
         y = self.table_product(x)
         if self.near is not None:
             y += self.amp * self.g * self.table_product(self.g * x)
-            y += self.near @ x
+            padded = np.zeros(self.size + 1)
+            padded[:-1] = x
+            step = max(1, ROW_BLOCK // self.near.shape[0])
+            for lo in range(0, self.size, step):
+                block = padded[self.near_cols[:, lo:lo + step]]
+                block *= self.near[:, lo:lo + step]
+                y[lo:lo + step] += block.sum(axis=0)
         return y
 
     @property
@@ -453,16 +474,20 @@ def far_offset_table(kernel: Kernel, grid: Grid) -> np.ndarray:
 def near_field(kernel: Kernel, grid: Grid, kappa: np.ndarray) -> tuple:
     """Refined near weights of a separable kernel, from the lex-positive
     side toward masked cells and into kappa toward unmasked ones.  Returns
-    (N, depth per offset), N the symmetric band as a sparse m x m matrix."""
+    (near, near_cols, depth per offset), the symmetric band in the slot
+    form of DiscreteOperator."""
     midx = grid.masked_indices
+    m = midx.size
     # masked-local position of each flat cell, -1 when unmasked
     local = np.full(grid.cell_count, -1, dtype=np.int64)
-    local[midx] = np.arange(midx.size)
+    local[midx] = np.arange(m)
     strides = grid.n ** np.arange(grid.dimension - 1, -1, -1, dtype=np.int64)
     ivec = grid.index_array[midx]
+    offsets = near_offsets(grid.dimension)
+    near = np.zeros((len(offsets), m))
+    near_cols = np.full((len(offsets), m), m, dtype=np.int64)
     depths = {}
-    band = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)]
-    for delta in near_offsets(grid.dimension):
+    for k, delta in enumerate(offsets):
         target = ivec + np.asarray(delta, dtype=np.int64)
         rows = np.flatnonzero(np.all((target >= 0) & (target < grid.n), axis=1))
         tflat = target[rows] @ strides
@@ -474,12 +499,11 @@ def near_field(kernel: Kernel, grid: Grid, kappa: np.ndarray) -> tuple:
         wvals, depths[str(delta)] = refined_pair_weights(
             kernel, grid.centers, midx[rows], delta, grid.h)
         sel, cols = rows[tmasked], local[tflat[tmasked]]
-        band += [(sel, cols, wvals[tmasked]), (cols, sel, wvals[tmasked])]
+        # the pair at +delta from sel is the pair at -delta from cols
+        near[k, sel] = near[-1 - k, cols] = wvals[tmasked]
+        near_cols[k, sel], near_cols[-1 - k, cols] = cols, sel
         kappa[rows[~tmasked]] += wvals[~tmasked]
-    from scipy import sparse
-
-    i, j, w = (np.concatenate(part) for part in zip(*band))
-    return sparse.csr_matrix((w, (i, j)), shape=(midx.size, midx.size)), depths
+    return near, near_cols, depths
 
 
 def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> DiscreteOperator:
@@ -525,7 +549,7 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> Discr
     # indicator, clipped since rounding may take a zero sum below zero
     outside = np.flatnonzero(~grid.mask_flat)
     kappa = product(1.0, outside)
-    g = near = None
+    g = near = near_cols = None
     if separable:
         points = grid.centers[:, 0] if dim == 1 else grid.centers
         gbox = mod.g(points)
@@ -537,7 +561,7 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> Discr
         kappa += mod.amp * g * product(gbox[outside], outside)
     kappa = np.maximum(kappa, 0.0)
     if separable:
-        near, depths = near_field(kernel, grid, kappa)
+        near, near_cols, depths = near_field(kernel, grid, kappa)
     t_near = time.perf_counter()
 
     # analytic tail beyond the box, bracketed by the modulation band
@@ -582,4 +606,5 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> Discr
                             kappa=kappa, cdiag=cvals * vol,
                             tail_interval=np.stack([tail_lo, tail_hi], axis=1),
                             diagnostics=diag, symbol=symbol,
-                            amp=mod.amp if separable else 0.0, g=g, near=near)
+                            amp=mod.amp if separable else 0.0, g=g, near=near,
+                            near_cols=near_cols)

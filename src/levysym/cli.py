@@ -20,7 +20,8 @@ import warnings
 
 import numpy as np
 
-from levysym.assembly import ROW_BLOCK, TAIL_ANGLES, AssemblyError, assemble
+from levysym.assembly import (ROW_BLOCK, TAIL_ANGLES, AssemblyError, assemble,
+                              near_offsets)
 from levysym.env import thread_setting
 from levysym.kernels import (IntegrabilityError, Kernel, KernelDomainError,
                              RadialProfile, make_modulation, rearrange_profile)
@@ -720,13 +721,15 @@ def run_phases(cfg, mode, log):
 def estimate_bytes(cfg):
     """Peak array bytes of one level, counted before anything big is
     allocated.  Every grid operator stores an offset table and its symbol,
-    and a separable_cosine one adds O(m) vectors and a sparse band, so the
+    and a separable_cosine one adds O(m) vectors and the near band, so the
     count is (2n)^N box arrays, the coarea walk's b x b blocks (b =
     cut_block, at most m) and O(m) vectors, in 2-D the tail's
-    (representatives, TAIL_ANGLES) blocks, and in a parabolic run the
-    states and loads both trajectories keep (4 steps m), plus the per-step
-    box loads of f and f# (2 steps cell_count) when f has a time factor.
-    Fixed I/O overhead (under 1 MB) is not counted."""
+    (representatives, TAIL_ANGLES) blocks, with separable_cosine the
+    near band's two (K, m) arrays and one gather block of its product,
+    and in a parabolic run the states and loads both trajectories keep
+    (4 steps m), plus the per-step box loads of f and f# (2 steps
+    cell_count) when f has a time factor.  Fixed I/O overhead (under
+    1 MB) is not counted."""
     grid = scenario_grid(cfg)
     m, dim = grid.masked_count, grid.dimension
     b = min(m, cut_block(grid))
@@ -741,6 +744,9 @@ def estimate_bytes(cfg):
         k = (grid.n + 1) // 2
         reps = min(m, k * (k + 1) // 2, ROW_BLOCK // TAIL_ANGLES)
         floats += 7 * reps * TAIL_ANGLES
+    if cfg.kernel["modulation"] == "separable_cosine":
+        band = len(near_offsets(dim)) * m
+        floats += 2 * band + min(band, ROW_BLOCK)
     if cfg.time is not None:
         steps = cfg.time["steps"]
         floats += 4 * steps * m

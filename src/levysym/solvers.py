@@ -12,7 +12,7 @@ deterministic.
 
 Both solve the operator's `system`, an OperatorSystem whose products go
 through the operator's weights_times: FFT products with the offset table
-(two more and a sparse band product for separable_cosine).  The mass
+(two more and a near band product for separable_cosine).  The mass
 shift is a diagonal added to that system once per march.
 """
 

@@ -535,7 +535,7 @@ class TestModulationForms:
         if kind == "no-GTG":
             op = replace(op, amp=0.0)
         elif kind == "no-band":
-            op = replace(op, near=sparse.csr_matrix(op.near.shape))
+            op = replace(op, near=np.zeros_like(op.near))
         W, _ = reference_weights(k, g, ref)
         x = np.random.default_rng(12).normal(size=op.size)
         want = W @ x
@@ -595,6 +595,121 @@ class TestModulationForms:
         low = replace(k, Lambda=1.0 + 0.9 * (ratio - 1.0))
         with pytest.raises(ValueError, match="certified band"):
             assembly.refined_pair_weights(low, g.centers, src, delta, g.h)
+
+
+def holed_grid(dim):
+    """two_piece_grid with a few interior cells unmasked, so that band
+    slots are padded inside the domain as well as at its edges."""
+    g = two_piece_grid(dim)
+    mask = g.mask_flat.copy()
+    mask[g.masked_indices[[5, 6, 20] if dim == 1 else [10, 11, 40, 41, 57]]] = False
+    return Grid(dim, 1.0, g.n, mask.reshape(g.mask.shape))
+
+
+def csr_band(op):
+    """The near band of op as a scipy CSR matrix, the form it had before."""
+    m, K = op.size, op.near.shape[0]
+    rows = np.repeat(np.arange(m)[None, :], K, axis=0)
+    real = op.near_cols < m
+    return sparse.csr_matrix((op.near[real], (rows[real], op.near_cols[real])),
+                             shape=(m, m))
+
+
+def csr_weights_times(op, band, x):
+    y = op.table_product(x)
+    y += op.amp * op.g * op.table_product(op.g * x)
+    y += band @ x
+    return y
+
+
+def csr_pair_rows(op, band, rows, cols=None):
+    cols = slice(None) if cols is None else cols
+    midx = op.grid.masked_indices
+    W = op.pairs[assembly.table_positions(op.grid, midx[rows], midx[cols])]
+    scaled = W * op.g[cols]
+    scaled *= op.amp * op.g[rows][:, None]
+    W += scaled
+    part = band[rows][:, cols].tocoo()
+    W[part.row, part.col] += part.data
+    return W
+
+
+class TestNearBand:
+    """The separable near band as (K, m) slot arrays, against the CSR
+    matrix it replaces."""
+
+    @pytest.fixture(scope="class")
+    def ops(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return {dim: assemble(modulated_kernel("separable_cosine", dim), holed_grid(dim))
+                    for dim in (1, 2)}
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_slots_hold_the_neighbours(self, ops, dim):
+        op = ops[dim]
+        g, m = op.grid, op.size
+        offsets = assembly.near_offsets(dim)
+        assert op.near.shape == op.near_cols.shape == (len(offsets), m)
+        local = np.full(g.cell_count + 1, m)
+        local[g.masked_indices] = np.arange(m)
+        idx = g.index_array[g.masked_indices]
+        padded = 0
+        for k, delta in enumerate(offsets):
+            assert offsets[-1 - k] == tuple(-d for d in delta)
+            target = idx + np.asarray(delta)
+            inside = np.all((target >= 0) & (target < g.n), axis=1)
+            want = np.full(m, m)
+            want[inside] = local[np.ravel_multi_index(tuple(target[inside].T),
+                                                      g.mask.shape)]
+            np.testing.assert_array_equal(op.near_cols[k], want)
+            real = want < m
+            padded += int(np.sum(~real & inside))
+            assert np.all(op.near[k, real] > 0) and np.all(op.near[k, ~real] == 0)
+            # the pair seen from its other cell sits in the opposite slot
+            np.testing.assert_array_equal(op.near_cols[-1 - k, want[real]],
+                                          np.flatnonzero(real))
+            np.testing.assert_array_equal(op.near[-1 - k, want[real]], op.near[k, real])
+        assert padded > 0  # slots toward unmasked in-box cells occur
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("blocked", [False, True])
+    def test_weights_times_bitwise_csr(self, ops, dim, blocked, monkeypatch):
+        op = ops[dim]
+        if blocked:  # gather blocks of 5 cells, the last one short
+            monkeypatch.setattr(assembly, "ROW_BLOCK", 5 * op.near.shape[0])
+            assert op.size % 5 != 0
+        band = csr_band(op)
+        rng = np.random.default_rng(8 + dim)
+        for x in (rng.normal(size=op.size), np.ones(op.size), rng.random(op.size) > 0.5):
+            assert np.array_equal(op.weights_times(x), csr_weights_times(op, band, x))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_pair_rows_bitwise_csr(self, ops, dim):
+        op = ops[dim]
+        band = csr_band(op)
+        rng = np.random.default_rng(5)
+        rows = rng.permutation(op.size)[:11]
+        cols = rng.permutation(op.size)[:op.size // 2]
+        for r, c in ((slice(None), None), (slice(3, 19), None), (rows, None),
+                     (rows, cols), (slice(3, 19), cols), (cols, cols)):
+            assert np.array_equal(op.pair_rows(r, c), csr_pair_rows(op, band, r, c))
+
+    def test_guards(self, ops):
+        op = ops[2]
+        pad = np.argwhere(op.near_cols == op.size)[0]
+        bad = op.near.copy()
+        bad[tuple(pad)] = 1e-3
+        negative = op.near.copy()
+        negative[np.unravel_index(np.argmax(op.near), op.near.shape)] = -1e-3
+        cases = [("must match", {"near": op.near[:, :-1]}),
+                 ("must match", {"near_cols": op.near_cols[:-1]}),
+                 ("padded slot", {"near": bad}),
+                 ("nonnegative", {"near": negative})]
+        for match, change in cases:
+            with pytest.raises(ValueError, match=match):
+                replace(op, **change)
+        replace(op, near=op.near.copy())  # the unchanged band passes
 
 
 class TestTableEdgeCases:

@@ -375,7 +375,7 @@ class TestMemoryEstimate:
         (2, 32, True, None), (1, 256, "rough_cosine", None)])
     def test_tracemalloc_peak_within_estimate(self, tmp_path, dim, n, modulated, steps):
         # two offset-table operators; separable_cosine (modulated True) adds
-        # a sparse near band and the g vector to the original
+        # a near band and the g vector to the original
         extra = {"domain": {"type": "boxes", "pieces": self.BOXES}} if dim == 2 else {}
         if modulated is True:
             extra["kernel"] = self.MODULATED

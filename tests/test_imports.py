@@ -182,12 +182,10 @@ def test_unmodulated_fractional_run_loads_no_scipy(tmp_path):
     assert out["scipy"] == []
 
 
-def test_separable_run_loads_only_scipy_sparse(tmp_path):
+def test_separable_run_loads_no_scipy(tmp_path):
     out = run_child(tmp_path, [(SEPARABLE, "elliptic")])
     assert out["codes"] == [0]
-    assert "scipy.sparse" in out["scipy"]
-    for sub in ("scipy.integrate", "scipy.special"):
-        assert sub not in out["scipy"]
+    assert out["scipy"] == []
 
 
 def test_exponential_run_loads_scipy_special(tmp_path):
@@ -201,9 +199,9 @@ def test_thread_setting_reaches_a_late_scipy(tmp_path):
     imported, so a scipy that loads later, mid-run, sees them too."""
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     env["LEVYSYM_THREADS"] = "1"
-    out = run_child(tmp_path, [(SEPARABLE, "elliptic")], env=env,
+    out = run_child(tmp_path, [(EXPONENTIAL, "elliptic")], env=env,
                     report=THREAD_VARS)
-    assert "scipy.sparse" in out["scipy"]
+    assert "scipy.special" in out["scipy"]
     assert out["env"]["OPENBLAS_NUM_THREADS"] == "1"
     assert out["env"]["OMP_NUM_THREADS"] == "1"
     diagnostics = json.loads((tmp_path / "out0" / "diagnostics.json").read_text())

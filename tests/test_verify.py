@@ -690,7 +690,7 @@ class TestTableReaders:
 
 def coarea_operators(dim):
     """(name, operator) for the three forms that coarea_sums reads: table,
-    separable_cosine (table plus g and a sparse band) and dense."""
+    separable_cosine (table plus g and a near band) and dense."""
     _, op, _ = table_pair(dim)
     _, op_sep, _ = table_pair(dim, "separable_cosine")
     dense = dense_copy(op)
