@@ -191,7 +191,7 @@ def validate_domain(domain, dimension, half_width, errors):
     return None
 
 
-def validate_kernel(kernel, base_dir, errors):
+def validate_kernel(kernel, dimension, base_dir, errors):
     if not isinstance(kernel, dict):
         errors.append("kernel: expected an object")
         return None
@@ -222,9 +222,11 @@ def validate_kernel(kernel, base_dir, errors):
             out["s_list"] = [float(v) for v in s_list]
     elif kind == "logarithmic":
         allowed.add("eps")
-        eps = check_number(kernel, "eps", errors, "kernel.", strict_min=0.0)
+        eps = check_number(kernel, "eps", errors, "kernel.")
         if eps is None:
             errors.append("kernel.eps: required for a logarithmic kernel")
+        elif not 0.0 < eps <= dimension + 2:
+            errors.append("kernel.eps: must lie in (0, dimension + 2]")
         out["eps"] = eps
     elif kind == "exponential":
         allowed.add("lam")
@@ -287,7 +289,7 @@ def validate_data(spec, name, base_dir, errors, nonnegative=False,
                           f"(allowed: {', '.join(RADIAL_FORMULAS)})")
         out["formula"] = formula
         out["scale"] = float(check_number(spec, "scale", errors, f"{name}.",
-                                          default=1.0) or 1.0)
+                                          default=1.0))
         if nonnegative and out["scale"] < 0:
             errors.append(f"{name}.scale: must be nonnegative")
     else:
@@ -346,7 +348,7 @@ def parse_config(path):
     if "kernel" not in doc:
         errors.append("kernel: required")
     else:
-        kernel = validate_kernel(doc["kernel"], base_dir, errors)
+        kernel = validate_kernel(doc["kernel"], dimension, base_dir, errors)
 
     f_spec = None
     if "f" not in doc:
@@ -726,10 +728,10 @@ def estimate_bytes(cfg):
     cut_block, at most m) and O(m) vectors, in 2-D the tail's
     (representatives, TAIL_ANGLES) blocks, with separable_cosine the
     near band's two (K, m) arrays and one gather block of its product,
-    and in a parabolic run the states and loads both trajectories keep
-    (4 steps m), plus the per-step box loads of f and f# (2 steps
-    cell_count) when f has a time factor.  Fixed I/O overhead (under
-    1 MB) is not counted."""
+    and in a parabolic run the states both trajectories keep (2 steps
+    m), plus, when f has a time factor, the per-step loads of f and f# on
+    the box and on the masked cells (2 steps (cell_count + m)).  Fixed
+    I/O overhead (under 1 MB) is not counted."""
     grid = scenario_grid(cfg)
     m, dim = grid.masked_count, grid.dimension
     b = min(m, cut_block(grid))
@@ -749,9 +751,9 @@ def estimate_bytes(cfg):
         floats += 2 * band + min(band, ROW_BLOCK)
     if cfg.time is not None:
         steps = cfg.time["steps"]
-        floats += 4 * steps * m
+        floats += 2 * steps * m
         if cfg.f.get("time_factor", "none") != "none":
-            floats += 2 * steps * grid.cell_count
+            floats += 2 * steps * (grid.cell_count + m)
     return 8 * floats
 
 

@@ -13,7 +13,9 @@ deterministic.
 Both solve the operator's `system`, an OperatorSystem whose products go
 through the operator's weights_times: FFT products with the offset table
 (two more and a near band product for separable_cosine).  The mass
-shift is a diagonal added to that system once per march.
+shift is a diagonal added to that system once per distinct operator:
+once for a fixed operator, every step for a per-step factory.  A march
+keeps its states and one copy of each distinct load.
 """
 
 from __future__ import annotations
@@ -172,7 +174,6 @@ def time_average(source: Callable, grid: Grid, timegrid: TimeGrid) -> list:
             acc += weight * np.broadcast_to(
                 np.asarray(source(*coords, t), dtype=np.float64), (grid.cell_count,))
         vals = 0.5 * acc  # weights sum to 2 on [-1, 1]
-        vals = vals.copy()
         vals[~grid.mask_flat] = 0.0
         out.append(GridFunction(grid, vals))
     return out
@@ -180,12 +181,14 @@ def time_average(source: Callable, grid: Grid, timegrid: TimeGrid) -> list:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
+    """An implicit-Euler march: states[n] is u_{n+1} and f_seq[n] the
+    masked load of step n, one array repeated for steps sharing a load.
+    The step-n coefficient is operator_at(n).cdiag / volumes."""
     grid: Grid
     timegrid: TimeGrid
     initial: np.ndarray
     states: np.ndarray
-    f_seq: np.ndarray
-    c_seq: np.ndarray
+    f_seq: tuple
     residuals: tuple
     iterations: tuple
     operator_factory: object
@@ -202,14 +205,17 @@ class Trajectory:
 def parabolic_solve(op_factory, f_n, u0, timegrid: TimeGrid,
                     tol: float = 1e-10, max_iter: int | None = None) -> Trajectory:
     """Implicit-Euler march: every step solves the mass-shifted elliptic
-    system for the step's averaged coefficient and load."""
-    base = op_factory(0) if callable(op_factory) else op_factory
+    system of its operator, op_factory itself or op_factory(n), for its
+    load, f_n itself or f_n[n].  The shifted system is built again only
+    when the step's operator is a new object."""
+    operator_at = op_factory if callable(op_factory) else lambda n: op_factory
+    base = operator_at(0)
     steps = timegrid.steps
     if steps < 1:
         raise ValueError("need at least one time step")
     dt = timegrid.dt
-    u = masked_vector(base.grid, u0).copy()
-    initial = u.copy()
+    # u and prev are rebound, never written in place, so they share u_0
+    u = prev = initial = masked_vector(base.grid, u0).copy()
     if isinstance(f_n, (GridFunction, np.ndarray)):
         f_list = [f_n] * steps
     else:
@@ -220,24 +226,15 @@ def parabolic_solve(op_factory, f_n, u0, timegrid: TimeGrid,
         max_iter = 20 * base.size + 200
 
     states = np.empty((steps, base.size))
-    f_store = np.empty((steps, base.size))
-    residuals = []
-    iterations = []
-    if callable(op_factory):
-        c_store, shifted_const = np.empty((steps, base.size)), None
-    else:
-        # a fixed operator has one coefficient and one shifted system for
-        # every step; the coefficient record is a read-only view of one row
-        c_store = np.broadcast_to(base.cdiag / base.volumes, (steps, base.size))
-        shifted_const = base.system(base.volumes / dt)
-    prev = u
+    f_seq, residuals, iterations = [], [], []
+    shifted = None
     for n in range(steps):
-        opn = op_factory(n) if callable(op_factory) else op_factory
-        shifted = shifted_const
-        if shifted is None:
+        opn = operator_at(n)
+        if shifted is None or shifted.op is not opn:
             shifted = opn.system(opn.volumes / dt)
-            c_store[n] = opn.cdiag / opn.volumes
-        fvec = masked_vector(opn.grid, f_list[n])
+        if n == 0 or f_list[n] is not f_list[n - 1]:
+            # copied, so that the caller's later edits leave f_seq alone
+            fvec = masked_vector(opn.grid, f_list[n]).copy()
         b = opn.volumes * (fvec + u / dt)
         # 2 u_0 - u_0 is u_0 exactly, so the first step starts from u_0
         guess = 2.0 * u - prev
@@ -248,11 +245,11 @@ def parabolic_solve(op_factory, f_n, u0, timegrid: TimeGrid,
             raise SolverError(f"time step {n} failed: {err}",
                               err.residual_history) from err
         states[n] = u
-        f_store[n] = fvec
+        f_seq.append(fvec)
         residuals.append(rel)
         iterations.append(it)
     return Trajectory(grid=base.grid, timegrid=timegrid, initial=initial,
-                      states=states, f_seq=f_store, c_seq=c_store,
+                      states=states, f_seq=tuple(f_seq),
                       residuals=tuple(residuals), iterations=tuple(iterations),
                       operator_factory=op_factory)
 

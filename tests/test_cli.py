@@ -10,9 +10,9 @@ import warnings
 import numpy as np
 import pytest
 
-from levysym.cli import (ConfigError, ScenarioError, estimate_bytes, main,
-                         parse_config, refine_sweep, run_scenario, scenario_grid,
-                         time_loads)
+from levysym.cli import (ConfigError, ScenarioError, data_function,
+                         estimate_bytes, main, parse_config, refine_sweep,
+                         run_scenario, scenario_grid, time_loads)
 from levysym.rearrange import (Grid, GridFunction, read_gridfunction_csv,
                                write_gridfunction_csv)
 from levysym.solvers import TimeGrid
@@ -111,6 +111,29 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as exc:
             parse_config(path)
         assert any("not found" in e for e in exc.value.errors)
+
+    def test_radial_scale_zero_kept(self, tmp_path):
+        cfg = parse_config(write_config(
+            tmp_path, f={"kind": "radial", "formula": "square", "scale": 0}))
+        assert cfg.f["scale"] == 0.0
+        f_fn = data_function(cfg.f, cfg, scenario_grid(cfg))
+        assert np.all(f_fn.values == 0.0)
+
+    def test_logarithmic_eps_bound_listed_with_other_errors(self, tmp_path):
+        # eps <= dimension + 2 keeps the profile decreasing; a 1-D eps = 5
+        # is reported with the Lambda error, not left to fail at run time
+        path = write_config(tmp_path, kernel={"kind": "logarithmic", "eps": 5,
+                                              "Lambda": 0.5})
+        with pytest.raises(ConfigError) as exc:
+            parse_config(path)
+        errors = exc.value.errors
+        assert "kernel.eps: must lie in (0, dimension + 2]" in errors
+        assert any(e.startswith("kernel.Lambda") for e in errors)
+        assert len(errors) == 2
+        cfg = parse_config(write_config(
+            tmp_path, dimension=2, kernel={"kind": "logarithmic", "eps": 4},
+            domain={"type": "ball", "radius": 0.5}))
+        assert cfg.kernel["eps"] == 4
 
     def test_negative_c_rejected(self, tmp_path):
         path = write_config(tmp_path, c={"kind": "constant", "value": -1.0})
