@@ -108,16 +108,27 @@ def require_keys(block, allowed, prefix, errors):
             errors.append(f"{prefix}{key}: unknown key")
 
 
+def is_number(val):
+    """A finite JSON number; booleans are not numbers, and json.load lets
+    NaN and Infinity through as floats."""
+    return not isinstance(val, bool) and (
+        isinstance(val, int) or isinstance(val, float) and math.isfinite(val))
+
+
 def check_number(block, key, errors, prefix="", minimum=None,
-                 strict_min=None, integer=False, default=None):
-    """Validate one numeric field, appending errors; returns the value or
-    the default."""
+                 strict_min=None, integer=False, default=None, required=None):
+    """Validate one numeric field, appending at most one error; returns the
+    value or the default.  A missing key is an error only when ``required``
+    gives its message."""
+    label = f"{prefix}{key}"
     if key not in block:
+        if required is not None:
+            errors.append(f"{label}: {required}")
         return default
     val = block[key]
-    label = f"{prefix}{key}"
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        errors.append(f"{label}: expected a number")
+    if not is_number(val):
+        errors.append(f"{label}: must be finite" if isinstance(val, float)
+                      else f"{label}: expected a number")
         return default
     if integer and not isinstance(val, int):
         errors.append(f"{label}: expected an integer")
@@ -143,9 +154,10 @@ def validate_domain(domain, dimension, half_width, errors):
         pieces = domain.get("pieces")
         if (not isinstance(pieces, list) or not pieces
                 or not all(isinstance(p, list) and len(p) == 2
-                           and all(isinstance(v, (int, float)) for v in p)
+                           and all(is_number(v) for v in p)
                            for p in pieces)):
-            errors.append("domain.pieces: expected a nonempty list of [a, b] pairs")
+            errors.append("domain.pieces: expected a nonempty list of [a, b] "
+                          "pairs of finite numbers")
             return None
         for a, b in pieces:
             if not (-half_width <= a < b <= half_width):
@@ -162,12 +174,12 @@ def validate_domain(domain, dimension, half_width, errors):
         ok = (isinstance(pieces, list) and pieces
               and all(isinstance(p, list) and len(p) == 2
                       and all(isinstance(side, list) and len(side) == 2
-                              and all(isinstance(v, (int, float)) for v in side)
+                              and all(is_number(v) for v in side)
                               for side in p)
                       for p in pieces))
         if not ok:
             errors.append("domain.pieces: expected a nonempty list of "
-                          "[[ax, bx], [ay, by]] boxes")
+                          "[[ax, bx], [ay, by]] boxes of finite numbers")
             return None
         for box in pieces:
             for a, b in box:
@@ -181,10 +193,9 @@ def validate_domain(domain, dimension, half_width, errors):
     if dtype == "ball":
         require_keys(domain, ("type", "radius"), "domain.", errors)
         radius = check_number(domain, "radius", errors, "domain.",
-                              strict_min=0.0)
-        if radius is None:
-            errors.append("domain.radius: required for a ball domain")
-        elif radius > half_width:
+                              strict_min=0.0,
+                              required="required for a ball domain")
+        if radius is not None and radius > half_width:
             errors.append("domain.radius: must not exceed the box half-width")
         return {"type": "ball", "radius": float(radius or 0.0)}
     errors.append("domain.type: expected one of ball, boxes, intervals")
@@ -204,17 +215,16 @@ def validate_kernel(kernel, dimension, base_dir, errors):
     out = {"kind": kind}
     if kind == "fractional":
         allowed.add("s")
-        s = check_number(kernel, "s", errors, "kernel.")
-        if s is None:
-            errors.append("kernel.s: required for a fractional kernel")
-        elif not 0.0 < s < 1.0:
+        s = check_number(kernel, "s", errors, "kernel.",
+                         required="required for a fractional kernel")
+        if s is not None and not 0.0 < s < 1.0:
             errors.append("kernel.s: must lie in (0, 1)")
         out["s"] = s
     elif kind == "sum_of_powers":
         allowed.add("s_list")
         s_list = kernel.get("s_list")
         if (not isinstance(s_list, list) or not s_list
-                or not all(isinstance(v, (int, float)) and 0.0 < v < 1.0
+                or not all(is_number(v) and 0.0 < v < 1.0
                            for v in s_list)):
             errors.append("kernel.s_list: expected a nonempty list of "
                           "exponents in (0, 1)")
@@ -222,18 +232,16 @@ def validate_kernel(kernel, dimension, base_dir, errors):
             out["s_list"] = [float(v) for v in s_list]
     elif kind == "logarithmic":
         allowed.add("eps")
-        eps = check_number(kernel, "eps", errors, "kernel.")
-        if eps is None:
-            errors.append("kernel.eps: required for a logarithmic kernel")
-        elif not 0.0 < eps <= dimension + 2:
+        eps = check_number(kernel, "eps", errors, "kernel.",
+                           required="required for a logarithmic kernel")
+        if eps is not None and not 0.0 < eps <= dimension + 2:
             errors.append("kernel.eps: must lie in (0, dimension + 2]")
         out["eps"] = eps
     elif kind == "exponential":
         allowed.add("lam")
-        lam = check_number(kernel, "lam", errors, "kernel.", strict_min=0.0)
-        if lam is None:
-            errors.append("kernel.lam: required for an exponential kernel")
-        out["lam"] = lam
+        out["lam"] = check_number(kernel, "lam", errors, "kernel.",
+                                  strict_min=0.0,
+                                  required="required for an exponential kernel")
     else:
         allowed.add("path")
         path = kernel.get("path")
@@ -274,11 +282,9 @@ def validate_data(spec, name, base_dir, errors, nonnegative=False,
     out = {"kind": kind}
     if kind == "constant":
         allowed.add("value")
-        value = check_number(spec, "value", errors, f"{name}.")
-        if value is None:
-            errors.append(f"{name}.value: required for constant data")
-            value = 0.0
-        out["value"] = float(value)
+        out["value"] = float(check_number(spec, "value", errors, f"{name}.",
+                                          default=0.0,
+                                          required="required for constant data"))
         if nonnegative and out["value"] < 0:
             errors.append(f"{name}.value: must be nonnegative")
     elif kind == "radial":
@@ -326,7 +332,7 @@ def parse_config(path):
     if doc.get("schema") != SCHEMA_VERSION:
         errors.append(f"schema: required and must equal {SCHEMA_VERSION}")
     dimension = doc.get("dimension")
-    if dimension not in (1, 2):
+    if type(dimension) is not int or dimension not in (1, 2):
         errors.append("dimension: must be 1 or 2")
         dimension = 1
     n = doc.get("n")
@@ -369,13 +375,9 @@ def parse_config(path):
         else:
             require_keys(time_block, ("horizon", "steps"), "time.", errors)
             horizon = check_number(time_block, "horizon", errors, "time.",
-                                   strict_min=0.0)
+                                   strict_min=0.0, required="required")
             steps = check_number(time_block, "steps", errors, "time.",
-                                 integer=True, minimum=1)
-            if horizon is None:
-                errors.append("time.horizon: required")
-            if steps is None:
-                errors.append("time.steps: required")
+                                 integer=True, minimum=1, required="required")
             time_block = ({"horizon": float(horizon), "steps": steps}
                           if horizon is not None and steps is not None
                           else None)

@@ -3,10 +3,13 @@
 A kernel is K(x, y) = a(x, y) * J(|x - y|) where J is a positive radially
 decreasing profile and the modulation a is symmetric with 1 <= a <= Lambda.
 The profile kinds shipped here all have exact or certified radial integrals,
-which the assembly and verification layers rely on.  scipy is imported
-inside the functions that need it (the exponential kind's incomplete gamma,
-the logarithmic kind's quadrature and exp_weight_mass), so the other kinds
-load numpy only.
+which the assembly and verification layers rely on.  Each kind but the
+logarithmic one has one closed-form radial primitive,
+:func:`radial_primitive`, which both :func:`ray_integral` and
+:func:`tail_primitive` read; only the logarithmic kind is integrated by
+quadrature.  scipy is imported inside the functions that need it (the
+exponential kind's incomplete gamma, the logarithmic kind's quadrature and
+exp_weight_mass), so the other kinds load numpy only.
 """
 
 from __future__ import annotations
@@ -172,68 +175,90 @@ class RadialProfile:
     __call__ = evaluate
 
 
-def _power_ray(coef: float, expo: float, a: float, b: float) -> float:
-    """Integral of coef * r^expo over (a, b); b may be inf, a may be 0."""
-    if b == math.inf:
-        if expo >= -1.0:
-            raise IntegrabilityError(
-                f"radial integral of r^{expo} diverges at infinity")
-        return coef * a ** (expo + 1.0) / (-(expo + 1.0))
-    if a == 0.0:
-        if expo <= -1.0:
-            raise IntegrabilityError(
-                f"radial integral of r^{expo} diverges at the origin")
-        return coef * b ** (expo + 1.0) / (expo + 1.0)
-    if expo == -1.0:
-        return coef * math.log(b / a)
-    return coef * (b ** (expo + 1.0) - a ** (expo + 1.0)) / (expo + 1.0)
+def radial_primitive(profile: RadialProfile, moment: float, head: bool = False,
+                     tail: bool = False) -> Callable[[np.ndarray], np.ndarray]:
+    """Vectorized F with F(a) - F(b) = integral of j(r) r^moment over (a, b).
 
+    The one closed form of each kind: gamma * sum of r^(e+1) / -(e+1) over
+    the exponents e of a power or sum-of-powers profile (-gamma log r for
+    e = -1), an upper incomplete gamma function for the exponential kind and
+    a suffix sum over the table for the tabulated kind.  F is 0 at infinity
+    when the tail converges and finite at 0 when the head does; ``head`` and
+    ``tail`` raise IntegrabilityError when that end diverges.  The
+    logarithmic kind has no closed form and raises ValueError.
+    """
+    kind, gamma, mp1 = profile.kind, profile.gamma, moment + 1.0
+    if kind == "logarithmic":
+        raise ValueError("the logarithmic profile has no closed-form primitive")
+    s_list = {"power": (profile.s,), "sum_of_powers": profile.s_list}.get(kind, ())
+    # F behaves like r^p at both ends for each power p; an exponential or
+    # tabulated F is finite at 0 when mp1 > 0 and always 0 at infinity
+    powers = [moment - profile.dimension - 2.0 * s + 1.0 for s in s_list]
+    if head and min(powers, default=mp1) <= 0.0:
+        raise IntegrabilityError(
+            f"radial integral of the {kind} profile times r^{moment} diverges at the origin")
+    if tail and max(powers, default=-1.0) >= 0.0:
+        raise IntegrabilityError(
+            f"radial integral of the {kind} profile times r^{moment} diverges at infinity")
+    if powers:
+        def power_sum(r):
+            # accumulate in place: a name or list holding each term keeps
+            # numpy from reusing the temporaries of large blocks
+            r = np.asarray(r, dtype=float)
+            out = None
+            for p in powers:
+                term = -np.log(r) if p == 0.0 else r ** p / -p
+                if out is None:
+                    out = term
+                else:
+                    out += term
+            out *= gamma
+            return out
 
-def _exp_ray(gamma: float, lam: float, moment: float, a: float, b: float) -> float:
-    """Integral of gamma * exp(-lam r) r^moment over (a, b) via incomplete gamma."""
-    from scipy import special
+        return power_sum
+    if kind == "exponential":
+        from scipy import special
 
-    mp1 = moment + 1.0
-    scale = gamma * math.gamma(mp1) / lam ** mp1
+        lam = profile.lam
+        scale = gamma * math.gamma(mp1) / lam ** mp1
+        return lambda r: scale * special.gammaincc(mp1, lam * np.asarray(r, dtype=float))
+    rad = np.asarray(profile.radii, dtype=float)
+    vals = gamma * np.asarray(profile.values, dtype=float)
+    edges = np.concatenate(([0.0], rad))
+    pieces = vals * (edges[1:] ** mp1 - edges[:-1] ** mp1) / mp1
+    suffix = np.concatenate((np.cumsum(pieces[::-1])[::-1], [0.0]))
 
-    def upper(x):
-        return scale * special.gammaincc(mp1, lam * x)
+    def table_suffix(r):
+        r = np.asarray(r, dtype=float)
+        idx = np.searchsorted(rad, r, side="left")
+        idx_c = np.minimum(idx, len(rad) - 1)
+        partial = vals[idx_c] * (rad[idx_c] ** mp1 - np.minimum(r, rad[idx_c]) ** mp1) / mp1
+        return np.where(idx < len(rad), partial + suffix[idx_c + 1], 0.0)
 
-    return upper(a) - (0.0 if b == math.inf else upper(b))
+    return table_suffix
 
 
 def ray_integral(profile: RadialProfile, a: float, b: float, moment: float) -> float:
     """Integral of j(r) * r^moment over the interval (a, b).
 
-    Exact closed forms for the power, sum-of-powers, exponential and tabulated
-    kinds; adaptive quadrature for the logarithmic kind. Raises
+    The difference F(a) - F(b) of :func:`radial_primitive` for every kind
+    but the logarithmic one, which uses adaptive quadrature. Raises
     IntegrabilityError when the integral diverges.
     """
     if not (0.0 <= a <= b):
         raise ValueError("need 0 <= a <= b")
     if a == b:
         return 0.0
-    n = profile.dimension
-    if profile.kind == "power":
-        return _power_ray(profile.gamma, moment - n - 2.0 * profile.s, a, b)
-    if profile.kind == "sum_of_powers":
-        return sum(_power_ray(profile.gamma, moment - n - 2.0 * si, a, b)
-                   for si in profile.s_list)
-    if profile.kind == "exponential":
-        return _exp_ray(profile.gamma, profile.lam, moment, a, b)
-    if profile.kind == "tabulated":
-        total = 0.0
-        prev = 0.0
-        for rk, vk in zip(profile.radii, profile.values):
-            lo, hi = max(a, prev), min(b, rk)
-            if hi > lo:
-                total += profile.gamma * vk * (hi ** (moment + 1.0) - lo ** (moment + 1.0)) / (moment + 1.0)
-            prev = rk
-        return total
+    if profile.kind != "logarithmic":
+        prim = radial_primitive(profile, moment, head=a == 0.0, tail=b == math.inf)
+        return float(prim(a) - prim(b))
     # logarithmic: log(1+r)^eps * r^(moment - n - 2)
-    expo = moment - n - 2.0
+    expo = moment - profile.dimension - 2.0
     if b == math.inf and expo >= -1.0:
         raise IntegrabilityError("logarithmic profile integral diverges at infinity")
+    if a == 0.0 and expo + profile.eps <= -1.0:
+        # log(1 + r)^eps ~ r^eps at the origin
+        raise IntegrabilityError("logarithmic profile integral diverges at the origin")
     from scipy import integrate
 
     eps_, gamma_ = profile.eps, profile.gamma
@@ -249,49 +274,13 @@ def tail_primitive(profile: RadialProfile, dim: int) -> Callable[[np.ndarray], n
     """Vectorized callable P(a) = integral of j(r) r^(dim-1) over (a, inf).
 
     ``dim`` is the ambient dimension of the integration (the profile's own
-    dimension parameter only fixes its singularity exponent).
+    dimension parameter only fixes its singularity exponent).  P is the
+    :func:`radial_primitive` of the kind; the logarithmic kind runs one
+    :func:`ray_integral` quadrature per point.
     """
-    n, m = profile.dimension, dim - 1.0
-    gamma = profile.gamma
-    if profile.kind == "power":
-        e = m - n - 2.0 * profile.s
-        if e >= -1.0:
-            raise IntegrabilityError("power profile tail diverges")
-        return lambda a: gamma * np.asarray(a, dtype=float) ** (e + 1.0) / (-(e + 1.0))
-    if profile.kind == "sum_of_powers":
-        exps = [m - n - 2.0 * si for si in profile.s_list]
-        if any(e >= -1.0 for e in exps):
-            raise IntegrabilityError("sum-of-powers profile tail diverges")
-
-        def p_sum(a):
-            a = np.asarray(a, dtype=float)
-            return gamma * sum(a ** (e + 1.0) / (-(e + 1.0)) for e in exps)
-
-        return p_sum
-    if profile.kind == "exponential":
-        from scipy import special
-
-        lam = profile.lam
-        mp1 = m + 1.0
-        scale = gamma * math.gamma(mp1) / lam ** mp1
-        return lambda a: scale * special.gammaincc(mp1, lam * np.asarray(a, dtype=float))
-    if profile.kind == "tabulated":
-        rad = np.asarray(profile.radii, dtype=float)
-        vals = gamma * np.asarray(profile.values, dtype=float)
-        mp1 = m + 1.0
-        edges = np.concatenate(([0.0], rad))
-        pieces = vals * (edges[1:] ** mp1 - edges[:-1] ** mp1) / mp1
-        suffix = np.concatenate((np.cumsum(pieces[::-1])[::-1], [0.0]))
-
-        def p_tab(a):
-            a = np.asarray(a, dtype=float)
-            idx = np.searchsorted(rad, a, side="left")
-            idx_c = np.minimum(idx, len(rad) - 1)
-            partial = vals[idx_c] * (rad[idx_c] ** mp1 - np.minimum(a, rad[idx_c]) ** mp1) / mp1
-            out = np.where(idx < len(rad), partial + suffix[idx_c + 1], 0.0)
-            return out
-
-        return p_tab
+    m = dim - 1.0
+    if profile.kind != "logarithmic":
+        return radial_primitive(profile, m, tail=True)
 
     def p_quad(a):
         a = np.asarray(a, dtype=float)

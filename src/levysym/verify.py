@@ -20,8 +20,7 @@ import numpy as np
 
 from .assembly import DiscreteOperator, energy, masked_vector
 from .kernels import (RadialProfile, ball_mass, exterior_ball_mass,
-                      ray_integral, rearrange_profile, surface_area,
-                      tail_primitive)
+                      ray_integral, rearrange_profile, surface_area)
 from .rearrange import (Grid, GridFunction, concentration_curve, default_radii,
                         schwarz_rearrangement)
 from .solvers import Trajectory, solve_elliptic, to_grid_function
@@ -239,9 +238,7 @@ def check_polya_szego(op_u: DiscreteOperator, op_v: DiscreteOperator,
 
 def profile_mass(profile: RadialProfile, dim: int) -> float:
     """Total integral over R^dim; raises IntegrabilityError when divergent."""
-    head = ray_integral(profile, 0.0, 1.0, dim - 1.0)
-    tail = float(tail_primitive(profile, dim)(np.asarray(1.0)))
-    return surface_area(dim) * (head + tail)
+    return surface_area(dim) * ray_integral(profile, 0.0, math.inf, dim - 1.0)
 
 
 def pair_kernel_matrix(profile: RadialProfile, xa: np.ndarray, xb: np.ndarray,

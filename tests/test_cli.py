@@ -135,6 +135,33 @@ class TestParseConfig:
             domain={"type": "ball", "radius": 0.5}))
         assert cfg.kernel["eps"] == 4
 
+    @pytest.mark.parametrize("overrides, error", [
+        ({"kernel": {"kind": "exponential", "lam": 0}}, "kernel.lam: must be > 0.0"),
+        ({"dimension": 2, "domain": {"type": "ball", "radius": 0}},
+         "domain.radius: must be > 0.0"),
+        ({"time": {"horizon": 1.0, "steps": 0}}, "time.steps: must be >= 1"),
+        ({"time": {"horizon": 0, "steps": 4}}, "time.horizon: must be > 0.0"),
+        ({"kernel": {"kind": "fractional", "s": "x"}}, "kernel.s: expected a number"),
+        ({"f": {"kind": "constant", "value": "x"}}, "f.value: expected a number"),
+        ({"kernel": {"kind": "logarithmic"}},
+         "kernel.eps: required for a logarithmic kernel"),
+        ({"memory_cap_gb": math.nan}, "memory_cap_gb: must be finite"),
+        ({"tolerances": {"solver_tol": math.nan}}, "tolerances.solver_tol: must be finite"),
+        ({"tolerances": {"kappa_tol": math.inf}}, "tolerances.kappa_tol: must be finite"),
+        ({"half_width": math.nan}, "half_width: must be finite"),
+        ({"dimension": True}, "dimension: must be 1 or 2"),
+        ({"dimension": 1.0}, "dimension: must be 1 or 2"),
+        ({"domain": {"type": "intervals", "pieces": [[False, True]]}},
+         "domain.pieces: expected a nonempty list of [a, b] pairs of finite numbers"),
+        ({"domain": {"type": "intervals", "pieces": [[-math.inf, 0.5]]}},
+         "domain.pieces: expected a nonempty list of [a, b] pairs of finite numbers"),
+    ])
+    def test_each_bad_field_reported_once(self, tmp_path, overrides, error):
+        # json.dumps writes NaN and Infinity, which json.load reads back
+        with pytest.raises(ConfigError) as exc:
+            parse_config(write_config(tmp_path, **overrides))
+        assert exc.value.errors == [error]
+
     def test_negative_c_rejected(self, tmp_path):
         path = write_config(tmp_path, c={"kind": "constant", "value": -1.0})
         with pytest.raises(ConfigError) as exc:

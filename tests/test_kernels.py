@@ -245,7 +245,27 @@ class TestRayIntegral:
                 prim = tail_primitive(j, dim)
                 for a in (0.3, 0.9, 1.7, 2.5):
                     expected = ray_integral(j, a, math.inf, dim - 1.0)
-                    assert float(prim(a)) == pytest.approx(expected, rel=1e-8, abs=1e-13)
+                    if j.kind == "logarithmic":
+                        assert float(prim(a)) == pytest.approx(expected, rel=1e-8, abs=1e-13)
+                    else:
+                        # both read the kind's one radial primitive
+                        assert float(prim(a)) == expected
+
+    @pytest.mark.parametrize("j", [RadialProfile.power(0.5, dimension=1),
+                                   RadialProfile.sum_of_powers([0.25, 0.75], dimension=2)])
+    def test_whole_ray_of_power_kinds_diverges(self, j):
+        # a power is never integrable at both ends of (0, inf)
+        for moment in (0.0, j.dimension - 1.0, j.dimension + 1.0):
+            with pytest.raises(IntegrabilityError):
+                ray_integral(j, 0.0, math.inf, moment)
+
+    def test_logarithmic_head(self):
+        # near 0 the integrand is r^(eps + moment - 3) in 1-D
+        with pytest.raises(IntegrabilityError):
+            ray_integral(RadialProfile.logarithmic(2.0, dimension=1), 0.0, 1.0, 0.0)
+        val = ray_integral(RadialProfile.logarithmic(2.5, dimension=1), 0.0, 1.0, 0.0)
+        oracle, _ = integrate.quad(lambda r: math.log1p(r) ** 2.5 * r ** (-3.0), 0.0, 1.0)
+        assert val == pytest.approx(oracle, rel=1e-9)
 
     def test_tail_primitive_divergent_moment(self):
         # dimension-1 fractional profile against a planar moment weight
