@@ -42,8 +42,8 @@ density is evaluated once per orbit of the square's eight symmetries,
 under which both the box and the midpoint angle rule are invariant: a ray
 leaves the box at the smaller of its two per-axis face distances, each
 built as one (representatives, TAIL_ANGLES) array per block of ROW_BLOCK
-entries, and the radial primitive of the profile is averaged over the
-rays.
+entries, and the profile's kernels.radial_primitive(..., tail=True) is
+averaged over the rays.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .kernels import (
     RoughCosine,
     SeparableCosine,
     modulation_factor,
-    tail_primitive,
+    radial_primitive,
 )
 from .rearrange import Grid, GridFunction
 
@@ -422,7 +422,7 @@ def refined_pair_weights(kernel: Kernel, centers: np.ndarray, rows: np.ndarray,
 def box_tail_density(kernel: Kernel, grid: Grid) -> np.ndarray:
     """Envelope interaction density with the exterior of the box, per
     masked cell: integral of J(|x_i - y|) dy over R^N minus the box."""
-    prim = tail_primitive(kernel.profile, grid.dimension)
+    prim = radial_primitive(kernel.profile, grid.dimension - 1.0, tail=True)
     L = grid.half_width
     if grid.dimension == 1:
         x = grid.centers[grid.masked_indices, 0]

@@ -743,8 +743,8 @@ def estimate_bytes(cfg):
     if dim == 2:
         # orbit representatives of the square's symmetries: at most m, and
         # at most the k(k + 1)/2 cells of one eighth of the square; a block
-        # holds the exit distances, two per-axis quotients and the
-        # primitive's temporaries, seven arrays for a table profile
+        # holds the exit distances, two per-axis quotients and the primitive's
+        # temporaries, seven arrays for a table or logarithmic profile
         k = (grid.n + 1) // 2
         reps = min(m, k * (k + 1) // 2, ROW_BLOCK // TAIL_ANGLES)
         floats += 7 * reps * TAIL_ANGLES

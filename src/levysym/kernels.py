@@ -3,13 +3,12 @@
 A kernel is K(x, y) = a(x, y) * J(|x - y|) where J is a positive radially
 decreasing profile and the modulation a is symmetric with 1 <= a <= Lambda.
 The profile kinds shipped here all have exact or certified radial integrals,
-which the assembly and verification layers rely on.  Each kind but the
-logarithmic one has one closed-form radial primitive,
-:func:`radial_primitive`, which both :func:`ray_integral` and
-:func:`tail_primitive` read; only the logarithmic kind is integrated by
-quadrature.  scipy is imported inside the functions that need it (the
-exponential kind's incomplete gamma, the logarithmic kind's quadrature and
-exp_weight_mass), so the other kinds load numpy only.
+which the assembly and verification layers rely on.  Each kind has one
+vectorised radial primitive, :func:`radial_primitive`, which every radial
+integral reads: closed forms, and a fixed Gauss rule in log r for the
+logarithmic kind.  scipy is imported inside the functions that need it (the
+incomplete gamma of the exponential kind and of the logarithmic kind's far
+tail, and exp_weight_mass), so the other kinds load numpy only.
 """
 
 from __future__ import annotations
@@ -36,12 +35,9 @@ __all__ = [
     "surface_area",
     "ball_volume",
     "ray_integral",
-    "tail_primitive",
     "exterior_ball_mass",
     "ball_mass",
 ]
-
-_QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-9, limit=200)
 
 PROFILE_KINDS = ("power", "sum_of_powers", "logarithmic", "exponential", "tabulated")
 
@@ -167,9 +163,8 @@ class RadialProfile:
             out = self.gamma * np.exp(-self.lam * arr)
         else:
             rad = np.asarray(self.radii)
-            idx = np.searchsorted(rad, arr, side="left")
             vals = np.append(self.gamma * np.asarray(self.values), 0.0)
-            out = vals[np.minimum(idx, len(rad))]
+            out = vals[np.searchsorted(rad, arr, side="left")]
         return out if np.ndim(r) else float(out)
 
     __call__ = evaluate
@@ -179,27 +174,29 @@ def radial_primitive(profile: RadialProfile, moment: float, head: bool = False,
                      tail: bool = False) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized F with F(a) - F(b) = integral of j(r) r^moment over (a, b).
 
-    The one closed form of each kind: gamma * sum of r^(e+1) / -(e+1) over
-    the exponents e of a power or sum-of-powers profile (-gamma log r for
-    e = -1), an upper incomplete gamma function for the exponential kind and
-    a suffix sum over the table for the tabulated kind.  F is 0 at infinity
-    when the tail converges and finite at 0 when the head does; ``head`` and
-    ``tail`` raise IntegrabilityError when that end diverges.  The
-    logarithmic kind has no closed form and raises ValueError.
+    The one rule of each kind: gamma * sum of r^(e+1) / -(e+1) over the
+    exponents e of a power or sum-of-powers profile (-gamma log r for
+    e = -1), an upper incomplete gamma function for the exponential kind,
+    sums over the table pieces (from 0 unless ``tail``) for the tabulated
+    kind and :func:`log_primitive`.  F is 0 at infinity when the tail
+    converges; ``head`` and ``tail`` raise IntegrabilityError when that end
+    diverges.
     """
     kind, gamma, mp1 = profile.kind, profile.gamma, moment + 1.0
-    if kind == "logarithmic":
-        raise ValueError("the logarithmic profile has no closed-form primitive")
-    s_list = {"power": (profile.s,), "sum_of_powers": profile.s_list}.get(kind, ())
-    # F behaves like r^p at both ends for each power p; an exponential or
-    # tabulated F is finite at 0 when mp1 > 0 and always 0 at infinity
+    # F behaves like r^p at both ends for each power p, the logarithmic
+    # profile being the s = 1 power times log(1 + r)^eps ~ r^eps at 0; an
+    # exponential or tabulated F is finite at 0 when mp1 > 0, 0 at infinity
+    s_list = {"power": (profile.s,), "sum_of_powers": profile.s_list,
+              "logarithmic": (1.0,)}.get(kind, ())
     powers = [moment - profile.dimension - 2.0 * s + 1.0 for s in s_list]
-    if head and min(powers, default=mp1) <= 0.0:
+    if head and min(powers, default=mp1) + profile.eps <= 0.0:
         raise IntegrabilityError(
             f"radial integral of the {kind} profile times r^{moment} diverges at the origin")
     if tail and max(powers, default=-1.0) >= 0.0:
         raise IntegrabilityError(
             f"radial integral of the {kind} profile times r^{moment} diverges at infinity")
+    if kind == "logarithmic":
+        return log_primitive(profile.eps, powers[0], gamma)
     if powers:
         def power_sum(r):
             # accumulate in place: a name or list holding each term keeps
@@ -226,69 +223,91 @@ def radial_primitive(profile: RadialProfile, moment: float, head: bool = False,
     vals = gamma * np.asarray(profile.values, dtype=float)
     edges = np.concatenate(([0.0], rad))
     pieces = vals * (edges[1:] ** mp1 - edges[:-1] ** mp1) / mp1
-    suffix = np.concatenate((np.cumsum(pieces[::-1])[::-1], [0.0]))
+    from_zero = not tail and mp1 > 0.0
+    # F at the inner edge of each piece from 0, else at its outer edge
+    if from_zero:
+        base, anchor = -np.concatenate(([0.0], np.cumsum(pieces)[:-1])), edges[:-1]
+    else:
+        base, anchor = np.concatenate((np.cumsum(pieces[::-1])[::-1][1:], [0.0])), rad
 
-    def table_suffix(r):
+    def table_sum(r):
+        # past the table idx stops at the last piece and r at its outer radius
         r = np.asarray(r, dtype=float)
-        idx = np.searchsorted(rad, r, side="left")
-        idx_c = np.minimum(idx, len(rad) - 1)
-        partial = vals[idx_c] * (rad[idx_c] ** mp1 - np.minimum(r, rad[idx_c]) ** mp1) / mp1
-        return np.where(idx < len(rad), partial + suffix[idx_c + 1], 0.0)
+        idx = np.minimum(np.searchsorted(rad, r, side="left"), len(rad) - 1)
+        return base[idx] - vals[idx] * (np.minimum(r, rad[idx]) ** mp1
+                                        - anchor[idx] ** mp1) / mp1
 
-    return table_suffix
+    return table_sum
+
+
+def log_primitive(eps: float, c: float, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
+    """F for gamma log(1 + r)^eps r^(c - 1), g(x) = gamma log(1 + e^x)^eps
+    e^(c x) in x = log r: 16-point Gauss-Legendre on the unit panels between
+    fixed integer knots, about 12.6^-32 per panel as g is analytic for
+    |Im x| < pi.  Past -40 (and 40 when c < 0) F is closed, e^((eps + c) x)
+    / (eps + c) and Gamma(eps + 1, -c x) / (-c)^(eps + 1).  A point adds
+    terms of one sign from the convergent end, infinity when c < 0 and else
+    0 (the panels then run past the largest float): F at its panel's knot
+    on that side plus the Gauss rule, one node at a time, over the rest.
+    """
+    head_c, down = eps + c, c < 0.0
+    hi = 40.0 if down else 710.0
+    t, w = _polar_nodes(1.0, 16)
+
+    def g(x):
+        # in place, with one temporary
+        v = np.logaddexp(0.0, x)
+        np.log(v, out=v)
+        v *= eps
+        x *= c
+        x += v
+        return np.exp(x, out=x)
+
+    panels = g(np.arange(-40.0, hi)[:, None] + t) @ w
+    if down:
+        from scipy import special
+
+        def upper(x):
+            return (math.gamma(eps + 1.0) * special.gammaincc(eps + 1.0, -c * x)
+                    / (-c) ** (eps + 1.0))
+
+        f_knots = np.cumsum(np.concatenate(([upper(hi)], panels[::-1])))[::-1]
+    else:
+        f_knots = -np.cumsum(np.concatenate(([math.exp(-40.0 * head_c) / head_c], panels)))
+
+    def primitive(r):
+        r = np.asarray(r, dtype=float)
+        with np.errstate(divide="ignore"):
+            x = np.log(r.reshape(-1))
+        below, above = x < -40.0, x > hi
+        x_below, x_above = x[below], x[above]
+        np.clip(x, -40.0, hi, out=x)
+        width = np.minimum(np.floor(x), hi - 1.0) + down
+        out = f_knots[(width + 40.0).astype(np.intp)]
+        width -= x  # signed length from the point to its knot
+        for ti, wi in zip(t, w):
+            out += g(width * ti + x) * (wi * width)
+        if x_below.size:
+            d = x_below + 40.0
+            out[below] = (f_knots[0] - math.exp(-40.0 * head_c)
+                          * (np.expm1(head_c * d) / head_c if head_c else d)
+                          if down else f_knots[0] * np.exp(head_c * d))
+        if down and x_above.size:
+            out[above] = upper(x_above)
+        return gamma * out.reshape(r.shape)
+
+    return primitive
 
 
 def ray_integral(profile: RadialProfile, a: float, b: float, moment: float) -> float:
-    """Integral of j(r) * r^moment over the interval (a, b).
-
-    The difference F(a) - F(b) of :func:`radial_primitive` for every kind
-    but the logarithmic one, which uses adaptive quadrature. Raises
-    IntegrabilityError when the integral diverges.
-    """
+    """Integral of j(r) * r^moment over the interval (a, b), F(a) - F(b) of
+    :func:`radial_primitive`; IntegrabilityError when it diverges."""
     if not (0.0 <= a <= b):
         raise ValueError("need 0 <= a <= b")
     if a == b:
         return 0.0
-    if profile.kind != "logarithmic":
-        prim = radial_primitive(profile, moment, head=a == 0.0, tail=b == math.inf)
-        return float(prim(a) - prim(b))
-    # logarithmic: log(1+r)^eps * r^(moment - n - 2)
-    expo = moment - profile.dimension - 2.0
-    if b == math.inf and expo >= -1.0:
-        raise IntegrabilityError("logarithmic profile integral diverges at infinity")
-    if a == 0.0 and expo + profile.eps <= -1.0:
-        # log(1 + r)^eps ~ r^eps at the origin
-        raise IntegrabilityError("logarithmic profile integral diverges at the origin")
-    from scipy import integrate
-
-    eps_, gamma_ = profile.eps, profile.gamma
-
-    def f(r):
-        return math.log1p(r) ** eps_ * r ** expo
-
-    val, _ = integrate.quad(f, a, b, **_QUAD_OPTS)
-    return gamma_ * val
-
-
-def tail_primitive(profile: RadialProfile, dim: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized callable P(a) = integral of j(r) r^(dim-1) over (a, inf).
-
-    ``dim`` is the ambient dimension of the integration (the profile's own
-    dimension parameter only fixes its singularity exponent).  P is the
-    :func:`radial_primitive` of the kind; the logarithmic kind runs one
-    :func:`ray_integral` quadrature per point.
-    """
-    m = dim - 1.0
-    if profile.kind != "logarithmic":
-        return radial_primitive(profile, m, tail=True)
-
-    def p_quad(a):
-        a = np.asarray(a, dtype=float)
-        flat = a.reshape(-1)
-        out = np.array([ray_integral(profile, x, math.inf, m) for x in flat])
-        return out.reshape(a.shape)
-
-    return p_quad
+    prim = radial_primitive(profile, moment, head=a == 0.0, tail=b == math.inf)
+    return float(prim(a) - prim(b))
 
 
 # -- kernels ----------------------------------------------------------
@@ -427,10 +446,8 @@ def rearrange_profile(profile: RadialProfile) -> RadialProfile:
     edges = np.concatenate(([0.0], rad))
     vols = omega_n * (edges[1:] ** n - edges[:-1] ** n)
     order = np.argsort(-vals, kind="stable")
-    sorted_vals = vals[order]
-    new_radii = np.cumsum(vols[order]) / omega_n
-    new_radii = new_radii ** (1.0 / n)
-    return RadialProfile.tabulated(new_radii, sorted_vals, dimension=n, gamma=profile.gamma)
+    new_radii = (np.cumsum(vols[order]) / omega_n) ** (1.0 / n)
+    return RadialProfile.tabulated(new_radii, vals[order], dimension=n, gamma=profile.gamma)
 
 
 # -- certified integrals ----------------------------------------------
@@ -466,40 +483,29 @@ def exp_weight_mass(profile: RadialProfile, t: float, cutoff: float) -> ExpWeigh
         raise IntegrabilityError("weight mass is infinite for t <= 0")
     if not (cutoff > 0):
         raise ValueError("cutoff must be positive")
-    if profile.kind == "tabulated":
-        v = np.asarray(profile.values)
-        if np.any(np.diff(v) > 0):
-            raise ValueError("tabulated profile must be rearranged (nonincreasing) first")
+    if profile.kind == "tabulated" and np.any(np.diff(profile.values) > 0):
+        raise ValueError("tabulated profile must be rearranged (nonincreasing) first")
     n = profile.dimension
 
     def integrand(rho):
-        if rho <= 0.0:
-            if n > 1:
-                return 0.0
-            if profile.kind in ("power", "sum_of_powers", "logarithmic"):
-                return 1.0  # j blows up at the origin, so the weight tends to 1
-            j0 = profile.evaluate(0.0)
-            return 0.0 if j0 == 0.0 else math.exp(-t / j0)
+        # quad never samples the endpoint rho = 0
         j = profile.evaluate(rho)
         return (0.0 if j == 0.0 else math.exp(-t / j)) * rho ** (n - 1.0)
 
     from scipy import integrate
 
-    mass, _ = integrate.quad(integrand, 0.0, cutoff, **_QUAD_OPTS)
-    mass *= surface_area(n)
+    mass, _ = integrate.quad(integrand, 0.0, cutoff, epsabs=1e-14, epsrel=1e-9, limit=200)
     i_tail = ray_integral(profile, cutoff, math.inf, n - 1.0)
-    tail_bound = surface_area(n) * i_tail / t
-    return ExpWeightMass(mass=mass, tail_bound=tail_bound)
+    return ExpWeightMass(mass=mass * surface_area(n), tail_bound=surface_area(n) * i_tail / t)
 
 
 # -- geometric radial integrals ---------------------------------------
 
 
-def _polar_nodes(a: float, b: float, order: int):
+def _polar_nodes(b: float, order: int):
+    """Gauss-Legendre nodes and weights on (0, b)."""
     x, w = np.polynomial.legendre.leggauss(order)
-    theta = 0.5 * (b - a) * x + 0.5 * (b + a)
-    weights = 0.5 * (b - a) * w
-    return theta, weights
+    return 0.5 * b * x + 0.5 * b, 0.5 * b * w
 
 
 def exterior_ball_mass(profile: RadialProfile, dim: int, rho: float, r: float,
@@ -509,14 +515,14 @@ def exterior_ball_mass(profile: RadialProfile, dim: int, rho: float, r: float,
     Decomposed in polar coordinates about x: along direction theta the sphere
     {|y| = r} sits at distance d(theta) = -rho cos(theta) +
     sqrt(rho^2 cos^2(theta) + r^2 - rho^2), and the radial tail integral is
-    exact via :func:`tail_primitive`.
+    exact via :func:`radial_primitive`.
     """
     if not (0.0 <= rho < r):
         raise ValueError("point must lie strictly inside the ball")
-    prim = tail_primitive(profile, dim)
+    prim = radial_primitive(profile, dim - 1.0, tail=True)
     if dim == 1:
         return float(prim(r - rho) + prim(r + rho))
-    theta, w = _polar_nodes(0.0, math.pi, order)
+    theta, w = _polar_nodes(math.pi, order)
     cos_t = np.cos(theta)
     d = -rho * cos_t + np.sqrt(rho * rho * cos_t ** 2 + r * r - rho * rho)
     weight = surface_area(dim - 1) * np.sin(theta) ** (dim - 2)
@@ -534,19 +540,15 @@ def ball_mass(profile: RadialProfile, dim: int, rho: float, r: float,
     """
     if not (rho > r > 0.0):
         raise ValueError("point must lie strictly outside the ball")
-    prim = tail_primitive(profile, dim)
+    prim = radial_primitive(profile, dim - 1.0, tail=True)
     if dim == 1:
         return float(prim(rho - r) - prim(rho + r))
     theta_star = math.pi - math.asin(r / rho)
     u_max = math.sqrt(math.pi - theta_star)
-    u, w = _polar_nodes(0.0, u_max, order)
+    u, w = _polar_nodes(u_max, order)
     theta = theta_star + u ** 2
     cos_t = np.cos(theta)
-    disc = r * r - (rho * np.sin(theta)) ** 2
-    disc = np.maximum(disc, 0.0)
-    root = np.sqrt(disc)
-    t1 = -rho * cos_t - root
-    t2 = -rho * cos_t + root
+    root = np.sqrt(np.maximum(r * r - (rho * np.sin(theta)) ** 2, 0.0))
     weight = surface_area(dim - 1) * np.sin(theta) ** (dim - 2)
-    seg = prim(t1) - prim(t2)
+    seg = prim(-rho * cos_t - root) - prim(-rho * cos_t + root)
     return float(np.sum(w * 2.0 * u * weight * seg))

@@ -272,10 +272,8 @@ def check_riesz(W: RadialProfile, u: GridFunction, v: GridFunction,
     h = u.grid.h
     # shared diagonal rule: cell-scale mean of the profile, identical on both
     # sides so the diagonal difference reduces to the plain rearrangement bound
-    small = ray_integral(W, 0.0, h / 2.0, dim - 1.0) * surface_area(dim)
-    diag = small / (surface_area(dim) / dim * (h / 2.0) ** dim)
-    small_s = ray_integral(Ws, 0.0, h / 2.0, dim - 1.0) * surface_area(dim)
-    diag_s = small_s / (surface_area(dim) / dim * (h / 2.0) ** dim)
+    diag, diag_s = (ray_integral(P, 0.0, h / 2.0, dim - 1.0) * surface_area(dim)
+                    / (surface_area(dim) / dim * (h / 2.0) ** dim) for P in (W, Ws))
 
     us, vs = schwarz_rearrangement(u), schwarz_rearrangement(v)
     worst = {"family": ""}
@@ -496,10 +494,8 @@ def check_phi_monotonicity(profile: RadialProfile, r: float,
     ks = np.arange(1, samples + 1) / (samples + 1.0)
     rho = r * ks
     sigma = r + (outer_reach - 1.0) * r * ks
-    p1 = phi_values(profile, r, rho, "phi1", dim)
-    p2 = phi_values(profile, r, sigma, "phi2", dim)
-    v1 = np.diff(p1)
-    v2 = np.diff(p2)
+    v1 = np.diff(phi_values(profile, r, rho, "phi1", dim))
+    v2 = np.diff(phi_values(profile, r, sigma, "phi2", dim))
     worst_inc = float(np.max(-v1)) if v1.size else -math.inf
     worst_dec = float(np.max(v2)) if v2.size else -math.inf
     slack = max(worst_inc, worst_dec, 0.0) if samples > 1 else 0.0

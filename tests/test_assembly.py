@@ -18,7 +18,7 @@ from levysym.kernels import (
     RadialProfile,
     eval_kernel,
     make_modulation,
-    tail_primitive,
+    radial_primitive,
 )
 from levysym.env import thread_setting
 from levysym.rearrange import Grid, GridFunction
@@ -197,7 +197,7 @@ class TestOffsetTable:
         RadialProfile.tabulated([0.2, 0.5, 1.3, 2.5], [4.0, 2.0, 1.0, 0.5], dimension=2)])
     def test_folded_tail_matches_unfolded(self, prof, monkeypatch):
         g = two_piece_grid(2)
-        prim = tail_primitive(prof, 2)
+        prim = radial_primitive(prof, 1.0, tail=True)
         L, n = g.half_width, g.n
         theta = (np.arange(2048) + 0.5) * (2.0 * math.pi / 2048)
         d = np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -758,7 +758,7 @@ class TestRowSums:
         g = Grid.full_box(1, 1.0, 64)
         k = frac_kernel(0.25)
         op = assemble(k, g, None)
-        prim = tail_primitive(k.profile, 1)
+        prim = radial_primitive(k.profile, 0.0, tail=True)
         x = g.centers[:, 0]
         h = g.h
         oracles = np.empty(64)
@@ -787,7 +787,7 @@ class TestRowSums:
         def worst(n):
             g = Grid.full_box(1, 1.0, n)
             op = assemble(k, g, None)
-            prim = tail_primitive(k.profile, 1)
+            prim = radial_primitive(k.profile, 0.0, tail=True)
             x = g.centers[:, 0]
             h = g.h
             rel = 0.0
@@ -904,7 +904,7 @@ class TestKilling:
         g = Grid.full_box(1, 1.0, 32)
         prof = RadialProfile.exponential(1.5, dimension=1)
         op = assemble(Kernel(profile=prof), g, None)
-        prim = tail_primitive(prof, 1)
+        prim = radial_primitive(prof, 0.0, tail=True)
         x = g.centers[:, 0]
         want = g.h * (prim(1.0 + x) + prim(1.0 - x))
         assert np.allclose(op.tail_interval[:, 0], want, rtol=1e-12)

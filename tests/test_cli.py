@@ -393,6 +393,17 @@ class TestRunScenario:
         code, summary = run_scenario(cfg, "elliptic")
         assert code == 0
 
+    def test_logarithmic_2d_scenario(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path, dimension=2, n=16, kernel={"kind": "logarithmic", "eps": 1.0},
+            domain={"type": "boxes", "pieces": [[[-1.0, -0.1], [-1.0, 1.0]],
+                                                [[0.1, 1.0], [-0.5, 0.5]]]},
+            checks=["comparison", "energy", "polya_szego", "coarea"])
+        assert main(["solve-elliptic", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [r["check"] for r in payload["reports"]] == [
+            "comparison", "energy_comparison", "polya_szego", "coarea_plain"]
+
     def test_table_source_must_match_grid(self, tmp_path):
         g = Grid(dimension=1, half_width=1.0, n=32,
                  mask=np.ones(32, dtype=bool))
@@ -418,17 +429,22 @@ class TestMemoryEstimate:
     BOXES = [[[-1.0, -0.1], [-1.0, 1.0]], [[0.1, 1.0], [-0.5, 0.5]]]
     MODULATED = {"kind": "fractional", "s": 0.5, "Lambda": 2.0,
                  "modulation": "separable_cosine", "omega": 3.0}
+    LOGARITHMIC = {"kind": "logarithmic", "eps": 1.0}
 
     @pytest.mark.parametrize("dim,n,modulated,steps", [
         (2, 32, False, None), (2, 64, False, None), (1, 256, True, None),
         (1, 1024, True, None), (1, 256, False, 100),
-        (2, 32, True, None), (1, 256, "rough_cosine", None)])
+        (2, 32, True, None), (1, 256, "rough_cosine", None),
+        (2, 64, "logarithmic", None)])
     def test_tracemalloc_peak_within_estimate(self, tmp_path, dim, n, modulated, steps):
         # two offset-table operators; separable_cosine (modulated True) adds
-        # a near band and the g vector to the original
+        # a near band and the g vector to the original; the logarithmic
+        # kernel's tail blocks run a Gauss rule over every ray
         extra = {"domain": {"type": "boxes", "pieces": self.BOXES}} if dim == 2 else {}
         if modulated is True:
             extra["kernel"] = self.MODULATED
+        elif modulated == "logarithmic":
+            extra["kernel"] = self.LOGARITHMIC
         elif modulated:
             extra["kernel"] = dict(self.MODULATED, modulation=modulated)
         checks = ["comparison", "energy", "polya_szego", "coarea"]

@@ -155,6 +155,7 @@ SEPARABLE = dict(ELLIPTIC_2D, checks=["comparison"], kernel={
     "modulation": "separable_cosine"})
 EXPONENTIAL = dict(ELLIPTIC_2D, checks=["comparison"],
                    kernel={"kind": "exponential", "lam": 1.0})
+LOGARITHMIC = dict(ELLIPTIC_2D, kernel={"kind": "logarithmic", "eps": 1.0})
 
 
 def run_child(tmp_path, scenarios, env=None, report=()):
@@ -192,6 +193,13 @@ def test_exponential_run_loads_scipy_special(tmp_path):
     out = run_child(tmp_path, [(EXPONENTIAL, "elliptic")])
     assert out["codes"] == [0]
     assert "scipy.special" in out["scipy"]
+
+
+def test_logarithmic_run_loads_no_quadrature(tmp_path):
+    # the logarithmic primitive is a fixed Gauss rule, not scipy's quad
+    out = run_child(tmp_path, [(LOGARITHMIC, "elliptic")])
+    assert out["codes"] == [0]
+    assert "scipy.integrate" not in out["scipy"]
 
 
 def test_thread_setting_reaches_a_late_scipy(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,10 +21,10 @@ from levysym.kernels import (
     exterior_ball_mass,
     levy_integral,
     make_modulation,
+    radial_primitive,
     ray_integral,
     rearrange_profile,
     surface_area,
-    tail_primitive,
 )
 
 
@@ -221,14 +222,50 @@ class TestRayIntegral:
     def test_logarithmic_vs_quad(self):
         j = RadialProfile.logarithmic(1.5, dimension=1)
         val = ray_integral(j, 0.5, 3.0, 0.0)
-        oracle, _ = integrate.quad(lambda r: math.log1p(r) ** 1.5 * r ** (-3.0), 0.5, 3.0)
-        assert val == pytest.approx(oracle, rel=1e-9)
+        oracle, _ = integrate.quad(lambda r: math.log1p(r) ** 1.5 * r ** (-3.0), 0.5, 3.0,
+                                   epsabs=0.0, epsrel=1e-13)
+        assert val == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("eps,dim", [(eps, dim) for eps in (0.3, 1.0, 2.5, 4.0)
+                                         for dim in (1, 2) if eps <= dim + 2])
+    def test_logarithmic_tail_vs_quad(self, eps, dim):
+        # the tail path's primitive, integral over (a, inf) of j(r) r^(dim - 1)
+        prim = radial_primitive(RadialProfile.logarithmic(eps, dimension=dim), dim - 1.0,
+                                tail=True)
+
+        def f(r):
+            return math.log1p(r) ** eps * r ** -3.0
+
+        points = (1e-3, 0.05, 0.9, 7.0, 80.0)
+        for a in points:
+            ends = [a] + [x for x in (1.0, 10.0, 100.0) if x > a] + [math.inf]
+            oracle = sum(integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                         for lo, hi in zip(ends, ends[1:]))
+            assert float(prim(a)) == pytest.approx(oracle, rel=1e-12)
+        # fixed knots: a point's value does not depend on the array it is in
+        assert list(prim(np.array(points))) == [float(prim(a)) for a in points]
 
     def test_tabulated_by_hand(self):
         j = RadialProfile.tabulated([1.0, 2.0], [3.0, 1.0], dimension=1)
         # moment 0 over (0.5, 5): 3*(1-0.5) + 1*(2-1) + 0 = 2.5
         assert ray_integral(j, 0.5, 5.0, 0.0) == pytest.approx(2.5, rel=1e-14)
         assert ray_integral(j, 0.5, math.inf, 0.0) == pytest.approx(2.5, rel=1e-14)
+
+    @pytest.mark.parametrize("b", [0.031, 0.0013, 1e-6, 0.3, 1.0, 2.9, 5.0])
+    def test_tabulated_head_vs_fractions(self, b):
+        # from 0 a finite interval sums only the pieces it meets, so the
+        # error is relative to its own integral, not to the table's
+        radii, values = (0.3, 1.7, 2.9), (4.1, 2.3, 1.1)
+        j = RadialProfile.tabulated(radii, values, dimension=2)
+        for moment in (0, 1, 2):
+            exact, lo = Fraction(0), Fraction(0)
+            for r, v in zip(radii, values):
+                hi = min(Fraction(r), Fraction(b))
+                if hi > lo:
+                    exact += Fraction(v) * (hi ** (moment + 1) - lo ** (moment + 1)) / (moment + 1)
+                lo = Fraction(r)
+            err = abs(Fraction(ray_integral(j, 0.0, b, moment)) - exact) / exact
+            assert err <= 1e-15
 
     def test_tail_primitive_matches_ray_integral(self):
         # profile singularity dimension must match the moment weight, else
@@ -242,14 +279,10 @@ class TestRayIntegral:
                 RadialProfile.logarithmic(1.0, dimension=dim),
             ]
             for j in profiles:
-                prim = tail_primitive(j, dim)
+                prim = radial_primitive(j, dim - 1.0, tail=True)
                 for a in (0.3, 0.9, 1.7, 2.5):
-                    expected = ray_integral(j, a, math.inf, dim - 1.0)
-                    if j.kind == "logarithmic":
-                        assert float(prim(a)) == pytest.approx(expected, rel=1e-8, abs=1e-13)
-                    else:
-                        # both read the kind's one radial primitive
-                        assert float(prim(a)) == expected
+                    # both read the kind's one radial primitive
+                    assert float(prim(a)) == ray_integral(j, a, math.inf, dim - 1.0)
 
     @pytest.mark.parametrize("j", [RadialProfile.power(0.5, dimension=1),
                                    RadialProfile.sum_of_powers([0.25, 0.75], dimension=2)])
@@ -263,14 +296,18 @@ class TestRayIntegral:
         # near 0 the integrand is r^(eps + moment - 3) in 1-D
         with pytest.raises(IntegrabilityError):
             ray_integral(RadialProfile.logarithmic(2.0, dimension=1), 0.0, 1.0, 0.0)
+        # and at infinity the integrand is log(r)^eps r^(moment - 3)
+        with pytest.raises(IntegrabilityError):
+            ray_integral(RadialProfile.logarithmic(2.0, dimension=1), 1.0, math.inf, 2.0)
         val = ray_integral(RadialProfile.logarithmic(2.5, dimension=1), 0.0, 1.0, 0.0)
-        oracle, _ = integrate.quad(lambda r: math.log1p(r) ** 2.5 * r ** (-3.0), 0.0, 1.0)
-        assert val == pytest.approx(oracle, rel=1e-9)
+        oracle, _ = integrate.quad(lambda r: math.log1p(r) ** 2.5 * r ** (-3.0), 0.0, 1.0,
+                                   epsabs=0.0, epsrel=1e-13)
+        assert val == pytest.approx(oracle, rel=1e-12)
 
     def test_tail_primitive_divergent_moment(self):
         # dimension-1 fractional profile against a planar moment weight
         with pytest.raises(IntegrabilityError):
-            tail_primitive(RadialProfile.power(0.5, dimension=1), 2)
+            radial_primitive(RadialProfile.power(0.5, dimension=1), 1.0, tail=True)
 
 
 class TestLevyIntegral:
@@ -309,9 +346,11 @@ class TestLevyIntegral:
 
     def test_logarithmic_vs_quad_oracle(self):
         j = RadialProfile.logarithmic(1.0, dimension=1)
-        head, _ = integrate.quad(lambda r: math.log1p(r) * r ** (-3.0) * r * r, 0.0, 1.0)
-        tail, _ = integrate.quad(lambda r: math.log1p(r) * r ** (-3.0), 1.0, np.inf)
-        assert levy_integral(j) == pytest.approx(2.0 * (head + tail), rel=1e-8)
+        head, _ = integrate.quad(lambda r: math.log1p(r) * r ** (-3.0) * r * r, 0.0, 1.0,
+                                 epsabs=0.0, epsrel=1e-13)
+        tail, _ = integrate.quad(lambda r: math.log1p(r) * r ** (-3.0), 1.0, np.inf,
+                                 epsabs=0.0, epsrel=1e-13)
+        assert levy_integral(j) == pytest.approx(2.0 * (head + tail), rel=1e-12)
 
 
 class TestExpWeightMass:
