@@ -41,9 +41,11 @@ enters kappa and the width lands in the diagnostics.  In 2-D the tail
 density is evaluated once per orbit of the square's eight symmetries,
 under which both the box and the midpoint angle rule are invariant: a ray
 leaves the box at the smaller of its two per-axis face distances, each
-built as one (representatives, TAIL_ANGLES) array per block of ROW_BLOCK
-entries, and the profile's kernels.radial_primitive(..., tail=True) is
-averaged over the rays.
+built as one (representatives, TAIL_ANGLES) array per block, and the
+profile's kernels.radial_primitive(..., tail=True) is averaged over the
+rays.  A block holds ROW_BLOCK / 8 rays (16 representatives), so the
+about seven arrays it has live at once fit in one row block; a
+representative's density is the mean of its own row, whatever the block.
 """
 
 from __future__ import annotations
@@ -81,7 +83,8 @@ NEAR_TOL = 1e-6
 NEAR_CAP_1D = 1024
 NEAR_CAP_2D = 256
 TAIL_ANGLES = 2048
-# bound on the entries of one row block of offset-table gathers or tail rays
+# bound on the entries of one row block of offset-table gathers; the 2-D
+# tail takes an eighth of it per block of rays
 ROW_BLOCK = 1 << 18
 
 
@@ -419,6 +422,30 @@ def refined_pair_weights(kernel: Kernel, centers: np.ndarray, rows: np.ndarray,
                         f"converge within {cap} subdivisions per axis")
 
 
+def tail_block_rows() -> int:
+    """Orbit representatives in one block of the 2-D box_tail_density: an
+    eighth of a row block of rays, so that the arrays a block holds at once
+    (tail_block_floats) fit in one row block."""
+    return max(1, ROW_BLOCK // 8 // TAIL_ANGLES)
+
+
+def tail_block_floats(reps: int) -> int:
+    """Floats the 2-D box_tail_density holds at its peak over reps orbit
+    representatives: seven (block, TAIL_ANGLES) arrays for a table or
+    logarithmic profile (the exit distances, two per-axis quotients and
+    the primitive's temporaries)."""
+    return 7 * min(reps, tail_block_rows()) * TAIL_ANGLES
+
+
+def median(x: np.ndarray) -> float:
+    """np.median of a nonempty 1-D array, by the same partition and mean of
+    the middle one or two entries; np.median itself loads numpy.ma (about
+    1 MiB) on first use."""
+    k = x.size // 2
+    part = np.partition(x, [max(k - 1, 0), k])
+    return float(part[k - 1 + x.size % 2:k + 1].mean())
+
+
 def box_tail_density(kernel: Kernel, grid: Grid) -> np.ndarray:
     """Envelope interaction density with the exterior of the box, per
     masked cell: integral of J(|x_i - y|) dy over R^N minus the box."""
@@ -442,7 +469,7 @@ def box_tail_density(kernel: Kernel, grid: Grid) -> np.ndarray:
         theta = (np.arange(TAIL_ANGLES) + 0.5) * (2.0 * math.pi / TAIL_ANGLES)
         cx, cy = np.cos(theta), np.sin(theta)
         dens = np.empty(reps.size)
-        step = max(1, ROW_BLOCK // TAIL_ANGLES)
+        step = tail_block_rows()
         for lo in range(0, reps.size, step):
             x, y = X[lo:lo + step, 0:1], X[lo:lo + step, 1:2]
             exit_dist = np.where(cx > 0, L - x, -L - x) / cx
@@ -570,12 +597,12 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> Discr
     tail_lo = tail
     tail_hi = kernel.Lambda * tail
     tail_mid = 0.5 * (tail_lo + tail_hi)
-    kappa_inbox_median = float(np.median(kappa))
+    kappa_inbox_median = median(kappa)
     kappa += tail_mid
 
-    med_kappa = float(np.median(kappa))
-    med_tail = float(np.median(tail_mid))
-    med_width = float(np.median(tail_hi - tail_lo))
+    med_kappa = median(kappa)
+    med_tail = median(tail_mid)
+    med_width = median(tail_hi - tail_lo)
     margin_ok = med_width <= 1e-3 * med_kappa
     if not margin_ok:
         warnings.warn(

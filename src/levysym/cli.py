@@ -20,8 +20,8 @@ import warnings
 
 import numpy as np
 
-from levysym.assembly import (ROW_BLOCK, TAIL_ANGLES, AssemblyError, assemble,
-                              near_offsets)
+from levysym.assembly import (ROW_BLOCK, AssemblyError, assemble, masked_vector,
+                              near_offsets, tail_block_floats)
 from levysym.env import thread_setting
 from levysym.kernels import (IntegrabilityError, Kernel, KernelDomainError,
                              RadialProfile, make_modulation, rearrange_profile)
@@ -30,7 +30,7 @@ from levysym.rearrange import (Grid, GridFunction, concentration_curve,
                                read_gridfunction_csv, schwarz_rearrangement,
                                write_gridfunction_csv)
 from levysym.solvers import (SolverError, TimeGrid, parabolic_solve,
-                             solve_elliptic, time_average, to_grid_function)
+                             solve_elliptic, step_means, to_grid_function)
 from levysym.verify import (check_coarea, check_comparison,
                             check_energy_comparison, check_max_principle,
                             check_parabolic_comparison, check_polya_szego,
@@ -534,14 +534,18 @@ def data_function(spec, cfg, grid):
     return GridFunction(grid, table.values)
 
 
-def time_loads(fn, factor, timegrid):
-    """Loads of the source fn(x) g(t), g the named time factor: fn itself
-    for "none", else per-step averages from solvers.time_average."""
+def time_loads(fn, factor, timegrid, grid):
+    """Loads on the operator grid `grid` of the source fn(x) g(t), g the
+    named time factor: fn itself for "none", else a generator of the
+    per-step means over the masked cells (solvers.step_means, the rule of
+    solvers.time_average), built as the march takes them.  The march sees
+    only these vectors, so fn's mask is checked against grid here."""
     g = TIME_FACTORS[factor]
     if g is None:
         return fn
-    return time_average(lambda *x_t: fn.values * g(x_t[-1]), fn.grid,
-                        timegrid)
+    vals = masked_vector(grid, fn)
+    return step_means(lambda *x_t: vals * g(x_t[-1]),
+                      fn.grid.centers[fn.grid.masked_indices], timegrid)
 
 
 def write_concentration_csv(path, radii, conc_u_sharp, conc_v, diff):
@@ -645,9 +649,9 @@ def run_phases(cfg, mode, log):
         init_fn = data_function(cfg.initial, cfg, grid)
         init_sharp = schwarz_rearrangement(init_fn)
         factor = cfg.f.get("time_factor", "none")
-        traj_u = parabolic_solve(op_u, time_loads(f_fn, factor, timegrid),
+        traj_u = parabolic_solve(op_u, time_loads(f_fn, factor, timegrid, op_u.grid),
                                  init_fn, timegrid, tol=cfg.solver_tol)
-        traj_v = parabolic_solve(op_v, time_loads(f_sharp, factor, timegrid),
+        traj_v = parabolic_solve(op_v, time_loads(f_sharp, factor, timegrid, op_v.grid),
                                  init_sharp, timegrid, tol=cfg.solver_tol)
         u_fn = to_grid_function(op_u, traj_u.states[-1])
         v_fn = to_grid_function(op_v, traj_v.states[-1])
@@ -723,40 +727,54 @@ def run_phases(cfg, mode, log):
 
 
 def estimate_bytes(cfg):
-    """Peak array bytes of one level, counted before anything big is
-    allocated.  Every grid operator stores an offset table and its symbol,
-    and a separable_cosine one adds O(m) vectors and the near band, so the
-    count is (2n)^N box arrays, the coarea walk's b x b blocks (b =
-    cut_block, at most m) and O(m) vectors, in 2-D the tail's
-    (representatives, TAIL_ANGLES) blocks, with separable_cosine the
-    near band's two (K, m) arrays and one gather block of its product,
-    and in a parabolic run the states both trajectories keep (2 steps
-    m), plus, when f has a time factor, the per-step loads of f and f# on
-    the box and on the masked cells (2 steps (cell_count + m)).  Fixed
-    I/O overhead (under 1 MB) is not counted."""
+    """Peak bytes of one level, counted before anything big is allocated:
+    what the run keeps from assembly on, plus the largest of its phases'
+    temporaries, not every phase added together.
+
+    Kept: both operators' offset tables and symbols (about three (2n)^N
+    box arrays), 20 vectors of m (the operators' diagonals, volumes, tail
+    intervals and cell lists, the solutions), 24 of cell_count (both grids'
+    cached index, coordinate and order arrays, the run's grid functions),
+    with separable_cosine the near band's two (K, m) arrays and g, and a
+    fixed 160 KiB of Python objects, most of it the record buffer a
+    csv.writer grows.  Phases: one FFT product's box temporaries; in 2-D
+    the exterior tail's block (assembly.tail_block_floats); the coarea
+    walk's b x b blocks (b = cut_block, at most m) when coarea is
+    requested; the separable band's gather block; and in a parabolic run
+    the states both trajectories keep (2 steps m), the masked per-step
+    loads of f and f# when f has a time factor (2 steps m more), one FFT
+    product and 2 KiB of reports and residuals per step.  The
+    counts are calibrated against the tracemalloc peak of a warm run.  The
+    interpreter and its modules are not counted (see the README's
+    memory_cap_gb); a first run also traces the modules it imports,
+    numpy.fft (about 0.2 MiB) and, for the exponential and logarithmic
+    kinds, scipy.special (about 10 MiB)."""
     grid = scenario_grid(cfg)
-    m, dim = grid.masked_count, grid.dimension
-    b = min(m, cut_block(grid))
-    # coarea: the gathered block with its index array or a second block
-    # (|u_i - u_j|, the lower triangle, the modulated term), plus O(m)
-    floats = 8 * (2 * grid.n) ** dim + 3 * b * b + 8 * m
+    m, dim, n = grid.masked_count, grid.dimension, grid.n
+    box = (2 * n) ** dim
+    table = (2 * n - 1) ** dim
+    symbol = (2 * n) ** (dim - 1) * (n + 1)
+    kept = 2 * (table + symbol) + 20 * m + 24 * grid.cell_count + 160 * 1024 // 8
+    # an FFT product: the zero box, its transform, the product, the inverse
+    # and its intermediate, and the gathered result
+    phases = [6 * box]
     if dim == 2:
-        # orbit representatives of the square's symmetries: at most m, and
-        # at most the k(k + 1)/2 cells of one eighth of the square; a block
-        # holds the exit distances, two per-axis quotients and the primitive's
-        # temporaries, seven arrays for a table or logarithmic profile
-        k = (grid.n + 1) // 2
-        reps = min(m, k * (k + 1) // 2, ROW_BLOCK // TAIL_ANGLES)
-        floats += 7 * reps * TAIL_ANGLES
+        # box_tail_density's block, of at most m orbit representatives
+        phases.append(tail_block_floats(m))
+    if "coarea" in cfg.checks:
+        # the gathered block with its index array or a second block
+        # (|u_i - u_j|, the lower triangle, the modulated term)
+        b = min(m, cut_block(grid))
+        phases.append(3 * b * b)
     if cfg.kernel["modulation"] == "separable_cosine":
         band = len(near_offsets(dim)) * m
-        floats += 2 * band + min(band, ROW_BLOCK)
+        kept += 2 * band + m
+        phases.append(min(band, ROW_BLOCK))
     if cfg.time is not None:
         steps = cfg.time["steps"]
-        floats += 2 * steps * m
-        if cfg.f.get("time_factor", "none") != "none":
-            floats += 2 * steps * (grid.cell_count + m)
-    return 8 * floats
+        held = 2 if cfg.f.get("time_factor", "none") == "none" else 4
+        phases.append(held * steps * m + 6 * box + 2048 // 8 * steps)
+    return 8 * (kept + max(phases))
 
 
 def refine_sweep(cfg, levels, mode="elliptic"):

@@ -13,6 +13,7 @@ tail, and exp_weight_mass), so the other kinds load numpy only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -176,9 +177,10 @@ def radial_primitive(profile: RadialProfile, moment: float, head: bool = False,
 
     The one rule of each kind: gamma * sum of r^(e+1) / -(e+1) over the
     exponents e of a power or sum-of-powers profile (-gamma log r for
-    e = -1), an upper incomplete gamma function for the exponential kind,
-    sums over the table pieces (from 0 unless ``tail``) for the tabulated
-    kind and :func:`log_primitive`.  F is 0 at infinity when the tail
+    e = -1), an incomplete gamma function for the exponential kind (the
+    lower one, from 0, for a ``head`` without ``tail``), sums over the table
+    pieces (from 0 unless ``tail``) for the tabulated kind and
+    :func:`log_primitive`.  Otherwise F is 0 at infinity when the tail
     converges; ``head`` and ``tail`` raise IntegrabilityError when that end
     diverges.
     """
@@ -218,6 +220,9 @@ def radial_primitive(profile: RadialProfile, moment: float, head: bool = False,
 
         lam = profile.lam
         scale = gamma * math.gamma(mp1) / lam ** mp1
+        if head and not tail:
+            # from 0, so that a short head interval keeps its digits
+            return lambda r: -scale * special.gammainc(mp1, lam * np.asarray(r, dtype=float))
         return lambda r: scale * special.gammaincc(mp1, lam * np.asarray(r, dtype=float))
     rad = np.asarray(profile.radii, dtype=float)
     vals = gamma * np.asarray(profile.values, dtype=float)
@@ -502,9 +507,18 @@ def exp_weight_mass(profile: RadialProfile, t: float, cutoff: float) -> ExpWeigh
 # -- geometric radial integrals ---------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order: int) -> tuple:
+    """Gauss-Legendre nodes and weights on (-1, 1), computed once per order
+    and handed out read-only."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _polar_nodes(b: float, order: int):
     """Gauss-Legendre nodes and weights on (0, b)."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _gauss_legendre(order)
     return 0.5 * b * x + 0.5 * b, 0.5 * b * w
 
 

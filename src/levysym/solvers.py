@@ -155,25 +155,35 @@ class TimeGrid(NamedTuple):
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
+def step_means(source: Callable, points: np.ndarray, timegrid: TimeGrid):
+    """Per-step means of source(x..., t) at points (one row per point, one
+    column per axis) by 8-point Gauss quadrature, one array per step,
+    yielded as they are asked for."""
+    coords = [points[:, k] for k in range(points.shape[1])]
+    size = points.shape[0]
+    dt = timegrid.dt
+    for n in range(timegrid.steps):
+        a = n * dt
+        mid, half = a + dt / 2.0, dt / 2.0
+        acc = np.zeros(size)
+        for node, weight in zip(GAUSS_NODES, GAUSS_WEIGHTS):
+            t = mid + half * node
+            acc += weight * np.broadcast_to(
+                np.asarray(source(*coords, t), dtype=np.float64), (size,))
+        acc *= 0.5  # weights sum to 2 on [-1, 1]
+        yield acc
+
+
 def time_average(source: Callable, grid: Grid, timegrid: TimeGrid) -> list:
-    """Per-step cellwise means of source(x..., t) by 8-point Gauss quadrature.
+    """Per-step cellwise means of source(x..., t) by 8-point Gauss quadrature
+    (step_means), zero outside the mask.
 
     source takes the cell-center coordinate columns plus a scalar time and
     returns values over cells, like GridFunction.from_callable with a time
     argument appended.
     """
-    coords = [grid.centers[:, k] for k in range(grid.dimension)]
-    dt = timegrid.dt
     out = []
-    for n in range(timegrid.steps):
-        a = n * dt
-        mid, half = a + dt / 2.0, dt / 2.0
-        acc = np.zeros(grid.cell_count)
-        for node, weight in zip(GAUSS_NODES, GAUSS_WEIGHTS):
-            t = mid + half * node
-            acc += weight * np.broadcast_to(
-                np.asarray(source(*coords, t), dtype=np.float64), (grid.cell_count,))
-        vals = 0.5 * acc  # weights sum to 2 on [-1, 1]
+    for vals in step_means(source, grid.centers, timegrid):
         vals[~grid.mask_flat] = 0.0
         out.append(GridFunction(grid, vals))
     return out
@@ -206,8 +216,10 @@ def parabolic_solve(op_factory, f_n, u0, timegrid: TimeGrid,
                     tol: float = 1e-10, max_iter: int | None = None) -> Trajectory:
     """Implicit-Euler march: every step solves the mass-shifted elliptic
     system of its operator, op_factory itself or op_factory(n), for its
-    load, f_n itself or f_n[n].  The shifted system is built again only
-    when the step's operator is a new object."""
+    load, f_n itself or the n-th of the loads f_n yields.  The loads are
+    taken one step at a time, so a generator's loads never all exist at
+    once.  The shifted system is built again only when the step's operator
+    is a new object."""
     operator_at = op_factory if callable(op_factory) else lambda n: op_factory
     base = operator_at(0)
     steps = timegrid.steps
@@ -217,24 +229,24 @@ def parabolic_solve(op_factory, f_n, u0, timegrid: TimeGrid,
     # u and prev are rebound, never written in place, so they share u_0
     u = prev = initial = masked_vector(base.grid, u0).copy()
     if isinstance(f_n, (GridFunction, np.ndarray)):
-        f_list = [f_n] * steps
-    else:
-        f_list = list(f_n)
-        if len(f_list) != steps:
-            raise ValueError("need one load per time step")
+        f_n = [f_n] * steps
+    if hasattr(f_n, "__len__") and len(f_n) != steps:
+        raise ValueError("need one load per time step")
+    loads = iter(f_n)
     if max_iter is None:
         max_iter = 20 * base.size + 200
 
     states = np.empty((steps, base.size))
     f_seq, residuals, iterations = [], [], []
-    shifted = None
-    for n in range(steps):
+    shifted = prev_load = None
+    for n, load in zip(range(steps), loads):
         opn = operator_at(n)
         if shifted is None or shifted.op is not opn:
             shifted = opn.system(opn.volumes / dt)
-        if n == 0 or f_list[n] is not f_list[n - 1]:
+        if load is not prev_load:
             # copied, so that the caller's later edits leave f_seq alone
-            fvec = masked_vector(opn.grid, f_list[n]).copy()
+            fvec = masked_vector(opn.grid, load).copy()
+            prev_load = load
         b = opn.volumes * (fvec + u / dt)
         # 2 u_0 - u_0 is u_0 exactly, so the first step starts from u_0
         guess = 2.0 * u - prev
@@ -248,6 +260,8 @@ def parabolic_solve(op_factory, f_n, u0, timegrid: TimeGrid,
         f_seq.append(fvec)
         residuals.append(rel)
         iterations.append(it)
+    if len(f_seq) < steps or next(loads, None) is not None:
+        raise ValueError("need one load per time step")
     return Trajectory(grid=base.grid, timegrid=timegrid, initial=initial,
                       states=states, f_seq=tuple(f_seq),
                       residuals=tuple(residuals), iterations=tuple(iterations),

@@ -405,12 +405,15 @@ def check_coarea(op: DiscreteOperator, u: GridFunction, mode: str = "plain",
         raise ValueError("mode must be 'plain' or 'truncated'")
     cuts, pairs = coarea_sums(op, vals)
     lhs = pairs + float(op.kappa @ vals)
-    levels = np.unique(np.concatenate(([0.0], vals)))
+    # the distinct values and 0, ascending (np.unique on floats loads numpy.ma)
+    ascending = np.sort(vals)
+    levels = np.concatenate(([0.0], ascending[ascending > 0.0]))
+    levels = levels[np.concatenate(([True], levels[1:] != levels[:-1]))]
     rhs = 0.0
     if levels.size > 1:
         # the set above levels[i] is the first `counts[i]` cells in
         # descending order; the whole support is evaluated directly
-        counts = vals.size - np.searchsorted(np.sort(vals), levels[:-1], side="right")
+        counts = vals.size - np.searchsorted(ascending, levels[:-1], side="right")
         terms = np.diff(levels) * cuts[counts]
         terms[0] = (levels[1] - levels[0]) * perimeter_of(op, vals > levels[0])
         rhs = float(np.sum(terms))

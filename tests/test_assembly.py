@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -211,9 +212,10 @@ class TestOffsetTable:
         assert np.unique(folded, axis=0).shape[0] > 3
         unfolded = tail_3d(g.centers[g.masked_indices])
         at_reps = tail_3d(g.centers[folded[:, 0] * n + folded[:, 1]])
-        # 3 representatives per block splits them over several blocks; the
-        # default block holds them all
-        for row_block in (3 * 2048, assembly.ROW_BLOCK):
+        # 3 representatives per block (a tail block is an eighth of a row
+        # block) splits them over several blocks; the default block of 16
+        # holds them all
+        for row_block in (3 * 8 * 2048, assembly.ROW_BLOCK):
             monkeypatch.setattr(assembly, "ROW_BLOCK", row_block)
             got = assembly.box_tail_density(Kernel(profile=prof), g)
             # every masked cell on its own, no symmetry fold
@@ -221,6 +223,45 @@ class TestOffsetTable:
             # at each cell's orbit representative the (cells, angles, 2)
             # formula goes through the same scalar operations, bit for bit
             assert np.array_equal(got, at_reps)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_tail_blocks_bitwise_one_representative_each(self, n, monkeypatch):
+        # each representative's density is the mean of its own row of rays,
+        # so the block size changes no bit, for every profile kind
+        g = Grid.full_box(2, 1.0, n)
+        for prof in (RadialProfile.power(0.5, dimension=2),
+                     RadialProfile.sum_of_powers([0.2, 0.7], dimension=2, gamma=1.7),
+                     RadialProfile.exponential(1.3, dimension=2),
+                     RadialProfile.logarithmic(1.0, dimension=2),
+                     RadialProfile.tabulated([0.3, 1.7, 2.9], [4.1, 2.3, 1.1], dimension=2)):
+            blocked = assembly.box_tail_density(Kernel(profile=prof), g)
+            with monkeypatch.context() as patch:
+                patch.setattr(assembly, "ROW_BLOCK", 1)
+                single = assembly.box_tail_density(Kernel(profile=prof), g)
+            assert np.array_equal(blocked, single), prof.kind
+
+    def test_tail_block_peak(self):
+        # blocks of 16 representatives x 2048 rays over the 528
+        # representatives of a 2-D n = 64 full box
+        g = Grid.full_box(2, 1.0, 64)
+        k = frac_kernel(0.5, dim=2)
+        assembly.box_tail_density(k, g)
+        tracemalloc.start()
+        try:
+            assembly.box_tail_density(k, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2 ** 20
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 8, 1001, 4096])
+    def test_median_is_numpy_median(self, size):
+        # the diagnostics' medians, bit for bit, signed zeros included
+        rng = np.random.default_rng(size)
+        for x in (rng.standard_normal(size), np.round(rng.random(size), 1),
+                  np.full(size, -0.0)):
+            got, want = assembly.median(x), float(np.median(x))
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
     def test_phase_seconds_in_diagnostics(self):
         op = assemble(frac_kernel(0.4, dim=2), two_piece_grid(2), None)

@@ -10,12 +10,12 @@ import warnings
 import numpy as np
 import pytest
 
-from levysym.cli import (ConfigError, ScenarioError, data_function,
-                         estimate_bytes, main, parse_config, refine_sweep,
-                         run_scenario, scenario_grid, time_loads)
+from levysym.cli import (TIME_FACTORS, ConfigError, ScenarioError,
+                         data_function, estimate_bytes, main, parse_config,
+                         refine_sweep, run_scenario, scenario_grid, time_loads)
 from levysym.rearrange import (Grid, GridFunction, read_gridfunction_csv,
                                write_gridfunction_csv)
-from levysym.solvers import TimeGrid
+from levysym.solvers import TimeGrid, time_average
 
 
 def write_config(tmp_path, name="scenario.json", **overrides):
@@ -425,6 +425,13 @@ def traced_peak(cfg, mode):
         tracemalloc.stop()
 
 
+def warm_peak(cfg, mode):
+    """tracemalloc peak bytes of a second run_scenario call, after a first
+    one has paid the lazy imports and caches."""
+    run_scenario(cfg, mode)
+    return traced_peak(cfg, mode)
+
+
 class TestMemoryEstimate:
     BOXES = [[[-1.0, -0.1], [-1.0, 1.0]], [[0.1, 1.0], [-0.5, 0.5]]]
     MODULATED = {"kind": "fractional", "s": 0.5, "Lambda": 2.0,
@@ -477,6 +484,20 @@ class TestMemoryEstimate:
             checks=["comparison", "energy", "polya_szego", "coarea"]))
         peak = traced_peak(cfg, "elliptic")
         assert peak <= estimate_bytes(cfg) <= 4 * peak
+
+    @pytest.mark.parametrize("kernel,n", [("fractional", 64), ("separable_cosine", 64),
+                                          ("logarithmic", 64), ("fractional", 128)])
+    def test_estimate_within_1_5x_of_warm_peak(self, tmp_path, kernel, n):
+        # the elliptic-2d64 geometry and checks: the estimate counts what the
+        # run keeps plus its largest phase, not every phase together
+        spec = {"fractional": {"kind": "fractional", "s": 0.5},
+                "separable_cosine": self.MODULATED,
+                "logarithmic": self.LOGARITHMIC}[kernel]
+        cfg = parse_config(write_config(
+            tmp_path, dimension=2, n=n, domain={"type": "boxes", "pieces": self.BOXES},
+            kernel=spec, checks=["comparison", "energy", "polya_szego", "coarea"]))
+        peak = warm_peak(cfg, "elliptic")
+        assert peak <= estimate_bytes(cfg) <= 1.5 * peak
 
     def test_separable_n128_under_default_cap(self, tmp_path):
         # the modulated-2d32 benchmark geometry refined to n = 128 (m = 11,136)
@@ -594,6 +615,22 @@ class TestMainEntry:
         assert ("error" in payload) == (code == 1)
 
 
+def test_time_loads_are_the_masked_time_averages():
+    # the per-step loads built on the masked cells are bit for bit the
+    # masked values of solvers.time_average's box loads
+    tg = TimeGrid(horizon=1.5, steps=6)
+    full = Grid.full_box(2, 1.0, 16)
+    grid = Grid(dimension=2, half_width=1.0, n=16,
+                mask=(np.abs(full.centers).max(axis=1) > 0.4).reshape(16, 16))
+    f = GridFunction(grid, np.where(grid.mask_flat, 1.0 + grid.centers[:, 0] ** 2, 0.0))
+    for factor in ("decay", "ramp"):
+        g = TIME_FACTORS[factor]
+        boxed = time_average(lambda *x_t: f.values * g(x_t[-1]), grid, tg)
+        loads = list(time_loads(f, factor, tg, grid))
+        assert len(loads) == tg.steps
+        assert all(np.array_equal(a, b.masked_values) for a, b in zip(loads, boxed))
+
+
 def test_step_averages_integrate_the_time_factor():
     # the per-step loads of f(x) g(t) are f times the exact mean of g
     tg = TimeGrid(horizon=1.5, steps=6)
@@ -602,6 +639,19 @@ def test_step_averages_integrate_the_time_factor():
     f = GridFunction.from_callable(grid, lambda x: 1.0 + x * x)
     means = {"decay": (np.exp(-a) - np.exp(-b)) / tg.dt, "ramp": 0.5 * (a + b)}
     for factor, mean in means.items():
-        loads = np.array([load.values for load in time_loads(f, factor, tg)])
-        np.testing.assert_allclose(loads, np.outer(mean, f.values), rtol=1e-14)
-    assert time_loads(f, "none", tg) is f
+        loads = np.array(list(time_loads(f, factor, tg, grid)))
+        np.testing.assert_allclose(loads, np.outer(mean, f.masked_values), rtol=1e-14)
+    assert time_loads(f, "none", tg, grid) is f
+
+
+def test_time_loads_refuse_a_foreign_mask():
+    # the march sees only the per-step vectors, so the source's mask is
+    # compared with the operator grid's when the loads are made, before
+    # the first step is asked for, even where the masked counts agree
+    tg = TimeGrid(horizon=1.0, steps=3)
+    f = GridFunction.from_callable(
+        Grid(dimension=1, half_width=1.0, n=8, mask=np.arange(8) != 2),
+        lambda x: 1.0 + x * x)
+    for mask in (np.ones(8, dtype=bool), np.arange(8) != 5):
+        with pytest.raises(ValueError, match="mask does not match"):
+            time_loads(f, "decay", tg, Grid(dimension=1, half_width=1.0, n=8, mask=mask))

@@ -130,6 +130,7 @@ codes = [cli.run_scenario(cli.parse_config(path), mode)[0]
 print(json.dumps({
     "codes": codes,
     "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+    "numpy_ma": "numpy.ma" in sys.modules,
     "env": {var: os.environ.get(var) for var in json.loads(sys.argv[2])},
 }))
 """
@@ -181,6 +182,18 @@ def test_unmodulated_fractional_run_loads_no_scipy(tmp_path):
                                (PARABOLIC_1D, "parabolic")])
     assert out["codes"] == [0, 0]
     assert out["scipy"] == []
+
+
+def test_runs_load_no_numpy_ma(tmp_path):
+    # numpy.ma (about 1 MiB) would load inside a first run, where the
+    # memory estimate does not count it: np.median and np.unique on floats
+    # import it
+    time_factor = dict(PARABOLIC_1D, f={"kind": "constant", "value": 1.0,
+                                         "time_factor": "decay"})
+    out = run_child(tmp_path, [(ELLIPTIC_2D, "elliptic"), (SEPARABLE, "elliptic"),
+                               (time_factor, "parabolic")])
+    assert out["codes"] == [0, 0, 0]
+    assert not out["numpy_ma"]
 
 
 def test_separable_run_loads_no_scipy(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from levysym import kernels
 from levysym.kernels import (
     IntegrabilityError,
     Kernel,
@@ -267,6 +268,33 @@ class TestRayIntegral:
             err = abs(Fraction(ray_integral(j, 0.0, b, moment)) - exact) / exact
             assert err <= 1e-15
 
+    @pytest.mark.parametrize("a,b", [(0.0, 1e-5), (0.0, 1e-3), (0.0, 0.1), (0.0, 1.0),
+                                     (0.0, 10.0), (20.0, 30.0)])
+    def test_exponential_interval_vs_closed_form(self, a, b):
+        # integral of r e^(-lam r) over (a, b): G(lam b) - G(lam a) over lam^2
+        # with G(x) = 1 - e^(-x) (1 + x), summed as its alternating series
+        # sum_(k >= 2) (-1)^k (k - 1) x^k / k! below x = 1, where the closed
+        # form cancels
+        lam = 1.3
+
+        def G(x):
+            if x >= 1.0:
+                return 1.0 - math.exp(-x) * (1.0 + x)
+            terms, term, k = [], x * x / 2.0, 2
+            while term > 1e-40:
+                terms.append((-1) ** k * (k - 1) * term)
+                k += 1
+                term *= x / k
+            return math.fsum(terms)
+
+        if a == 0.0:
+            exact = G(lam * b) / lam ** 2
+        else:
+            exact = (math.exp(-lam * a) * (1.0 + lam * a)
+                     - math.exp(-lam * b) * (1.0 + lam * b)) / lam ** 2
+        val = ray_integral(RadialProfile.exponential(lam, dimension=2), a, b, 1.0)
+        assert abs(val - exact) <= 1e-13 * exact
+
     def test_tail_primitive_matches_ray_integral(self):
         # profile singularity dimension must match the moment weight, else
         # the tail genuinely diverges (checked separately below)
@@ -441,6 +469,14 @@ class TestGeometricIntegrals:
         oracle, _ = integrate.dblquad(integrand, 0.0, 1.0, 0.0, 2.0 * math.pi,
                                       epsabs=1e-12, epsrel=1e-12)
         assert val == pytest.approx(oracle, rel=1e-8)
+
+    def test_gauss_nodes_computed_once_and_read_only(self):
+        # every exterior_ball_mass and ball_mass call reads the same arrays
+        x, w = kernels._gauss_legendre(512)
+        assert kernels._gauss_legendre(512)[0] is x
+        ref_x, ref_w = np.polynomial.legendre.leggauss(512)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        assert not (x.flags.writeable or w.flags.writeable)
 
     def test_domain_validation(self):
         j = RadialProfile.exponential(1.0, dimension=2)

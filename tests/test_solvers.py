@@ -429,6 +429,22 @@ def test_parabolic_time_dependent_coefficient():
     assert np.max(np.abs(traj.states[1] - manual_step(0, traj.states[0]))) > 1e-4
 
 
+def test_generator_loads_match_list(split_domain_op):
+    # a generator is read one step at a time and marches bit for bit like
+    # the list of the same loads; a short or long one is refused
+    grid, op = split_domain_op
+    tg = TimeGrid(1.0, 5)
+    loads = [np.full(op.size, 1.0 + n) for n in range(tg.steps)]
+    u0 = GridFunction.constant(grid, 0.0)
+    listed = parabolic_solve(op, loads, u0, tg)
+    streamed = parabolic_solve(op, (x for x in loads), u0, tg)
+    assert np.array_equal(listed.states, streamed.states)
+    assert all(np.array_equal(a, b) for a, b in zip(listed.f_seq, streamed.f_seq))
+    for wrong in (loads[:-1], loads + loads[:1]):
+        with pytest.raises(ValueError, match="one load per time step"):
+            parabolic_solve(op, (x for x in wrong), u0, tg)
+
+
 def test_fixed_operator_march_keeps_one_load():
     # a constant load is stored once, so the march's arrays beyond its
     # states stay O(m); a (steps, m) record of the load would double them
