@@ -16,7 +16,9 @@ depends on the index offset i - j only, so the profile is evaluated once
 on the (2n - 1)^N integer offsets of the box (zero at Chebyshev distance
 <= 2).  Every grid operator stores that table T, times the squared volume,
 and the Fourier symbol of its (2n)^N circulant embedding, so T x is one
-FFT product (OffsetProduct) and rows of T are gathered on request.
+FFT product (OffsetProduct: rfftn's and irfftn's one-axis passes called
+directly, an rfft and an irfft alone in 1-D) and rows of T are gathered
+on request.
 
 Without modulation, and with a RoughCosine modulation a(|x - y|), the
 whole kernel a J is translation invariant: T carries a at the offset
@@ -249,10 +251,12 @@ class OffsetProduct:
     """T x over the masked cells of a grid, for weights T[p_i - p_j] that
     depend on the index offset only.
 
-    Scatters x into a zero (2n)^N box, multiplies its rfftn by the symbol
-    of the circulant embedding of T and gathers the masked cells of the
-    irfftn back.  The box is twice the grid per axis, so no offset between
-    two cells wraps around.
+    Scatters x into a zero (2n)^N box, multiplies its transform by the
+    symbol of the circulant embedding of T and gathers the masked cells of
+    the inverse back.  The box is twice the grid per axis, so no offset
+    between two cells wraps around.  The transforms are rfftn's and
+    irfftn's own one-axis passes, in their order, called directly: an rfft
+    on the last axis and fft on the others (an rfft alone in 1-D), and back.
     """
 
     def __init__(self, symbol: np.ndarray, grid: Grid):
@@ -270,9 +274,13 @@ class OffsetProduct:
         box = np.zeros(self.box)
         at = self.cells if sources is None else self.index[sources] @ self.strides
         box.reshape(-1)[at] = x
-        y = np.fft.irfftn(self.symbol * np.fft.rfftn(box, axes=self.axes),
-                          s=self.box, axes=self.axes)
-        return y.reshape(-1)[self.cells]
+        spec = np.fft.rfft(box)
+        for axis in reversed(self.axes[:-1]):
+            spec = np.fft.fft(spec, axis=axis)
+        spec *= self.symbol
+        for axis in self.axes[:-1]:
+            spec = np.fft.ifft(spec, axis=axis)
+        return np.fft.irfft(spec, self.box[-1]).reshape(-1)[self.cells]
 
 
 def circulant_symbol(table: np.ndarray, n: int, dim: int) -> np.ndarray:

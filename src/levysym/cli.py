@@ -35,7 +35,7 @@ from levysym.verify import (check_coarea, check_comparison,
                             check_energy_comparison, check_max_principle,
                             check_parabolic_comparison, check_polya_szego,
                             concentration_gap, config_hash, cut_block,
-                            json_ready, write_reports)
+                            gap_window, json_ready, write_reports)
 
 SCHEMA_VERSION = 1
 KERNEL_KINDS = ("exponential", "fractional", "logarithmic", "sum_of_powers",
@@ -743,7 +743,9 @@ def estimate_bytes(cfg):
     requested; the separable band's gather block; and in a parabolic run
     the states both trajectories keep (2 steps m), the masked per-step
     loads of f and f# when f has a time factor (2 steps m more), one FFT
-    product and 2 KiB of reports and residuals per step.  The
+    product, 2 KiB of reports and residuals per step and the parabolic
+    check's window arrays (about six stacked arrays of the u# and v rows
+    of gap_window steps).  The
     counts are calibrated against the tracemalloc peak of a warm run.  The
     interpreter and its modules are not counted (see the README's
     memory_cap_gb); a first run also traces the modules it imports,
@@ -773,7 +775,8 @@ def estimate_bytes(cfg):
     if cfg.time is not None:
         steps = cfg.time["steps"]
         held = 2 if cfg.f.get("time_factor", "none") == "none" else 4
-        phases.append(held * steps * m + 6 * box + 2048 // 8 * steps)
+        window = 12 * gap_window(grid) * grid.cell_count
+        phases.append(held * steps * m + 6 * box + window + 2048 // 8 * steps)
     return 8 * (kept + max(phases))
 
 

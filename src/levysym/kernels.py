@@ -523,17 +523,19 @@ def _polar_nodes(b: float, order: int):
 
 
 def exterior_ball_mass(profile: RadialProfile, dim: int, rho: float, r: float,
-                       order: int = 512) -> float:
+                       order: int = 512, prim=None) -> float:
     """Integral of j(|x - y|) over {|y| > r} for a point x with |x| = rho < r.
 
     Decomposed in polar coordinates about x: along direction theta the sphere
     {|y| = r} sits at distance d(theta) = -rho cos(theta) +
     sqrt(rho^2 cos^2(theta) + r^2 - rho^2), and the radial tail integral is
-    exact via :func:`radial_primitive`.
+    exact via :func:`radial_primitive`.  prim is that primitive,
+    radial_primitive(profile, dim - 1.0, tail=True), built here when None.
     """
     if not (0.0 <= rho < r):
         raise ValueError("point must lie strictly inside the ball")
-    prim = radial_primitive(profile, dim - 1.0, tail=True)
+    if prim is None:
+        prim = radial_primitive(profile, dim - 1.0, tail=True)
     if dim == 1:
         return float(prim(r - rho) + prim(r + rho))
     theta, w = _polar_nodes(math.pi, order)
@@ -544,17 +546,18 @@ def exterior_ball_mass(profile: RadialProfile, dim: int, rho: float, r: float,
 
 
 def ball_mass(profile: RadialProfile, dim: int, rho: float, r: float,
-              order: int = 512) -> float:
+              order: int = 512, prim=None) -> float:
     """Integral of j(|x - y|) over {|y| < r} for a point x with |x| = rho > r.
 
     Only the polar cone with sin(theta) <= r / rho meets the ball; inside it
     the chord endpoints are -rho cos(theta) -+ sqrt(r^2 - rho^2 sin^2(theta)).
     The square-root tangency is smoothed with the substitution
-    theta = theta* + u^2.
+    theta = theta* + u^2.  prim is as for exterior_ball_mass.
     """
     if not (rho > r > 0.0):
         raise ValueError("point must lie strictly outside the ball")
-    prim = radial_primitive(profile, dim - 1.0, tail=True)
+    if prim is None:
+        prim = radial_primitive(profile, dim - 1.0, tail=True)
     if dim == 1:
         return float(prim(rho - r) - prim(rho + r))
     theta_star = math.pi - math.asin(r / rho)

@@ -205,7 +205,8 @@ class GridFunction:
 
 
 class ConcentrationCurve(NamedTuple):
-    """Cumulative integrals over centered balls, one entry per radius."""
+    """Cumulative integrals over centered balls, one entry per radius (a row
+    of them per function when concentration_curve takes a stack)."""
 
     radii: np.ndarray
     integrals: np.ndarray
@@ -259,10 +260,25 @@ def schwarz_rearrangement(f: GridFunction, direction: str = "decreasing") -> Gri
     return GridFunction(grid.ball_grid, out)
 
 
-def concentration_curve(f: GridFunction, radii: Sequence[float]) -> ConcentrationCurve:
-    """Integrals of f over centered balls B_r, r snapped outward to cell radii."""
-    masked = f.masked_values
-    if masked.size and masked.min() < -0.0:
+def concentration_curve(f, radii: Sequence[float],
+                        grid: Grid | None = None) -> ConcentrationCurve:
+    """Integrals of f over centered balls B_r, r snapped outward to cell radii.
+
+    f is a GridFunction, or, with grid given, an array whose rows each list
+    the values of one function on all cells of grid in its Schwarz order
+    (grid.schwarz_order); integrals then has one row per row of f.
+    """
+    if grid is None:
+        grid = f.grid
+        rows = f.values[grid.schwarz_order]
+    else:
+        rows = np.asarray(f, dtype=np.float64)
+        if rows.shape[-1:] != (grid.cell_count,):
+            raise ValueError("rows must cover every cell of the grid")
+        if not np.isfinite(rows).all():
+            raise ValueError("values must be finite")
+    # the cells outside a GridFunction's mask hold 0
+    if rows.size and rows.min() < -0.0:
         raise ValueError("concentration curves require nonnegative values")
     radii = np.asarray(radii, dtype=np.float64)
     if radii.ndim != 1 or radii.size == 0:
@@ -273,14 +289,14 @@ def concentration_curve(f: GridFunction, radii: Sequence[float]) -> Concentratio
         raise ValueError("radii must be strictly increasing")
     if not math.isfinite(radii[-1]):
         raise ValueError("radii must be finite")
-    grid = f.grid
     ks = grid.snap_radius(radii)
     if not (ks[1:] > ks[:-1]).all():
         raise ValueError("distinct radii snapped to the same cell boundary")
     counts = np.searchsorted(grid.sorted_radius_keys, 4 * ks * ks, side="right")
-    prefix = np.zeros(grid.cell_count + 1)
-    np.cumsum(f.values[grid.schwarz_order], out=prefix[1:])
-    integrals = grid.cell_volume * prefix[counts]
+    prefix = np.zeros(rows.shape[:-1] + (grid.cell_count + 1,))
+    np.cumsum(rows, axis=-1, out=prefix[..., 1:])
+    integrals = prefix[..., counts]
+    integrals *= grid.cell_volume
     return ConcentrationCurve(radii=grid.h * ks.astype(np.float64), integrals=integrals)
 
 

@@ -1,11 +1,14 @@
 """Elliptic and parabolic solvers for the discrete nonlocal operator.
 
 The elliptic solve is hand-rolled Jacobi-preconditioned conjugate
-gradients from the zero vector.  The parabolic march is implicit Euler:
-each step solves the elliptic system shifted by the volume-weighted mass
-over the step size, which stays symmetric positive definite for every
-step size, starting CG from the linear extrapolation 2 u_n - u_{n-1} of
-the two previous states (u_0 for the first step).  Every solve stops on
+gradients from the zero vector.  It updates its iterate, residual,
+preconditioned residual and search direction in place, so the product
+with the system is the only array an iteration allocates.  The
+parabolic march is implicit Euler: each step solves the elliptic system
+shifted by the volume-weighted mass over the step size, which stays
+symmetric positive definite for every step size, starting CG from the
+linear extrapolation 2 u_n - u_{n-1} of the two previous states (u_0
+for the first step).  Every solve stops on
 its full residual relative to its load, and the march's guess is a fixed
 function of earlier states, so repeated runs of both are bitwise
 deterministic.
@@ -21,6 +24,7 @@ keeps its states and one copy of each distinct load.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -70,7 +74,8 @@ def pcg(A, b: np.ndarray, tol: float, max_iter: int,
         return np.zeros_like(b), 0, 0.0, ()
     _, shift = np.frexp(big)
     b = np.ldexp(b, -shift)
-    norm_b = float(np.linalg.norm(b))
+    # sqrt(r @ r) is what np.linalg.norm computes for a 1-D float array
+    norm_b = math.sqrt(b @ b)
     d = A.diagonal()
     if np.any(d <= 0):
         raise SolverError("system diagonal is not positive")
@@ -80,11 +85,12 @@ def pcg(A, b: np.ndarray, tol: float, max_iter: int,
     else:
         x = np.ldexp(x0, -shift)
         r = b - A @ x
-        rel = float(np.linalg.norm(r)) / norm_b
+        rel = math.sqrt(r @ r) / norm_b
         if rel <= tol:
             return np.array(x0, dtype=np.float64), 0, rel, ()
     z = r / d
     p = z.copy()
+    step = np.empty_like(b)
     rz = float(r @ z)
     history = []
     for it in range(1, max_iter + 1):
@@ -93,15 +99,16 @@ def pcg(A, b: np.ndarray, tol: float, max_iter: int,
         if pAp <= 0:
             raise SolverError("system lost positive definiteness", history)
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        rel = float(np.linalg.norm(r)) / norm_b
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, Ap, out=Ap)
+        rel = math.sqrt(r @ r) / norm_b
         history.append(rel)
         if rel <= tol:
             return np.ldexp(x, shift), it, rel, tuple(history)
-        z = r / d
+        np.divide(r, d, out=z)
         rz_next = float(r @ z)
-        p = z + (rz_next / rz) * p
+        p *= rz_next / rz
+        p += z
         rz = rz_next
     raise SolverError(
         f"conjugate gradients did not reach {tol} in {max_iter} iterations "

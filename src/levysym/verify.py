@@ -18,10 +18,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .assembly import DiscreteOperator, energy, masked_vector
+from .assembly import ROW_BLOCK, DiscreteOperator, energy, masked_vector
 from .kernels import (RadialProfile, ball_mass, exterior_ball_mass,
-                      ray_integral, rearrange_profile, surface_area)
-from .rearrange import (Grid, GridFunction, concentration_curve, default_radii,
+                      radial_primitive, ray_integral, rearrange_profile,
+                      surface_area)
+from .rearrange import (ConcentrationCurve, Grid, GridFunction,
+                        concentration_curve, default_radii,
                         schwarz_rearrangement)
 from .solvers import Trajectory, solve_elliptic, to_grid_function
 
@@ -122,22 +124,47 @@ def base_metadata(grid: Grid) -> dict:
 
 # --- concentration comparison -----------------------------------------------
 
-def concentration_gap(u: GridFunction, v: GridFunction, radii=None) -> tuple:
-    """conc(u#) - conc(v) over the radii (default_radii when None), the
-    one routine behind both comparison checks and concentration.csv.
-    Returns (its maximum, the snapped radius there, curve of u#, curve of
-    v, the difference)."""
-    if not u.grid.same_geometry(v.grid):
+def concentration_gaps(u_grid: Grid, u_rows: np.ndarray, v_grid: Grid,
+                       v_rows: np.ndarray, radii=None) -> tuple:
+    """conc(u#) - conc(v) over the radii (default_radii when None) for each
+    row pair: row k of u_rows holds the masked values of a u on u_grid, row
+    k of v_rows those of a v on v_grid.  One sort rearranges every u, and
+    the u# and v rows, laid out in Schwarz order, take one
+    concentration_curve call.  Returns (the maxima, the snapped radii
+    there, curves of u#, curves of v, the differences), one row per pair."""
+    if not u_grid.same_geometry(v_grid):
         raise ValueError("functions live on different grid geometries")
-    if u.grid.masked_count != v.grid.masked_count:
+    m = u_grid.masked_count
+    if m != v_grid.masked_count:
         raise ValueError("domains have different cell counts")
     if radii is None:
-        radii = default_radii(u.grid)
-    cu = concentration_curve(schwarz_rearrangement(u), radii)
-    cv = concentration_curve(v, radii)
+        radii = default_radii(u_grid)
+    k = len(u_rows)
+    # u# fills the first m cells in Schwarz order with the sorted |u|; v
+    # keeps its cells, at their ranks in that order
+    rank = np.empty(u_grid.cell_count, dtype=np.intp)
+    rank[u_grid.schwarz_order] = np.arange(u_grid.cell_count)
+    rows = np.zeros((2 * k, u_grid.cell_count))
+    rows[:k, :m] = np.sort(np.abs(u_rows), axis=1)[:, ::-1]
+    rows[k:, rank[v_grid.masked_indices]] = v_rows
+    curves = concentration_curve(rows, radii, grid=u_grid)
+    cu = ConcentrationCurve(curves.radii, curves.integrals[:k])
+    cv = ConcentrationCurve(curves.radii, curves.integrals[k:])
     diff = cu.integrals - cv.integrals
-    worst = int(np.argmax(diff))
-    return float(diff[worst]), float(cu.radii[worst]), cu, cv, diff
+    worst = np.argmax(diff, axis=1)
+    return diff[np.arange(k), worst], cu.radii[worst], cu, cv, diff
+
+
+def concentration_gap(u: GridFunction, v: GridFunction, radii=None) -> tuple:
+    """conc(u#) - conc(v) over the radii (default_radii when None), the
+    one-row case of concentration_gaps, behind the comparison check and
+    concentration.csv.  Returns (its maximum, the snapped radius there,
+    curve of u#, curve of v, the difference)."""
+    slack, worst_r, cu, cv, diff = concentration_gaps(
+        u.grid, u.masked_values[None], v.grid, v.masked_values[None], radii)
+    return (float(slack[0]), float(worst_r[0]),
+            ConcentrationCurve(cu.radii, cu.integrals[0]),
+            ConcentrationCurve(cv.radii, cv.integrals[0]), diff[0])
 
 
 def check_comparison(u: GridFunction, v: GridFunction, radii=None,
@@ -180,19 +207,32 @@ def check_parabolic_comparison(traj_u: Trajectory, traj_v: Trajectory,
             f"initial data violate the concentration precondition at r = {worst0}")
     tol = tau(gu.h, kappa_tol)
     times = traj_u.timegrid.times
+    steps = traj_u.timegrid.steps
+    window = gap_window(gu)
     reports = []
-    for n in range(traj_u.timegrid.steps):
-        un = to_grid_function(op_u0, traj_u.states[n])
-        vn = to_grid_function(op_v0, traj_v.states[n])
-        slack, worst_r, *_ = concentration_gap(un, vn, radii)
-        meta = base_metadata(gu)
-        meta["step"] = n
-        reports.append(CheckReport(
-            check="parabolic_comparison", slack=slack, tolerance=tol,
-            passed=slack <= tol,
-            worst_location={"r": worst_r, "t": float(times[n + 1])},
-            metadata=meta))
+    for lo in range(0, steps, window):
+        hi = min(lo + window, steps)
+        # only the maxima are kept, so no window's curves outlive it
+        slacks, worst_rs = concentration_gaps(
+            gu, traj_u.states[lo:hi], op_v0.grid, traj_v.states[lo:hi], radii)[:2]
+        for n, slack, worst_r in zip(range(lo, hi), slacks.tolist(),
+                                     worst_rs.tolist()):
+            meta = base_metadata(gu)
+            meta["step"] = n
+            reports.append(CheckReport(
+                check="parabolic_comparison", slack=slack, tolerance=tol,
+                passed=slack <= tol,
+                worst_location={"r": worst_r, "t": float(times[n + 1])},
+                metadata=meta))
     return reports
+
+
+def gap_window(grid: Grid) -> int:
+    """Steps per concentration_gaps call of the parabolic check.  The call
+    stacks the steps' u# and v rows over every cell, and each stacked array
+    holds at most ROW_BLOCK / 32 values (4 steps, 8 rows of 1,024 cells, at
+    1-D n = 1024), so the few arrays live at once stay small."""
+    return max(1, ROW_BLOCK // 64 // grid.cell_count)
 
 
 # --- pointwise and energy inequalities ---------------------------------------
@@ -480,12 +520,15 @@ def phi_values(profile: RadialProfile, r: float, points, which: str,
     if which == "phi1":
         if np.any(pts < 0) or np.any(pts >= r):
             raise ValueError("phi1 is defined strictly inside the ball")
-        return np.array([exterior_ball_mass(profile, dim, p, r) for p in pts])
-    if which == "phi2":
+        mass = exterior_ball_mass
+    elif which == "phi2":
         if np.any(pts <= r):
             raise ValueError("phi2 is defined strictly outside the ball")
-        return np.array([ball_mass(profile, dim, p, r) for p in pts])
-    raise ValueError("which must be 'phi1' or 'phi2'")
+        mass = ball_mass
+    else:
+        raise ValueError("which must be 'phi1' or 'phi2'")
+    prim = radial_primitive(profile, dim - 1.0, tail=True)
+    return np.array([mass(profile, dim, p, r, prim=prim) for p in pts])
 
 
 def check_phi_monotonicity(profile: RadialProfile, r: float,

@@ -292,8 +292,26 @@ def fourier_cases():
 FOURIER_CASES = ["masked-1d", "masked-2d", "ball", "with-c", "separable-1d", "separable-2d"]
 
 
+class ReferenceProduct:
+    """The offset-table product written with np.fft.rfftn and irfftn over
+    the whole box, as a reference for OffsetProduct's one-axis passes."""
+
+    def __init__(self, product):
+        self.product = product
+
+    def __call__(self, x, sources=None):
+        prod = self.product
+        box = np.zeros(prod.box)
+        at = prod.cells if sources is None else prod.index[sources] @ prod.strides
+        box.reshape(-1)[at] = x
+        y = np.fft.irfftn(prod.symbol * np.fft.rfftn(box, axes=prod.axes),
+                          s=prod.box, axes=prod.axes)
+        return y.reshape(-1)[prod.cells]
+
+
 class TestToeplitzSystem:
-    """OperatorSystem products, diagonals and mass shifts against op.matrix."""
+    """OperatorSystem products, diagonals and mass shifts against op.matrix,
+    and OffsetProduct against the rfftn/irfftn product."""
 
     @pytest.fixture(scope="class")
     def cases(self):
@@ -339,6 +357,41 @@ class TestToeplitzSystem:
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         np.testing.assert_allclose(op.system(mass).diagonal(), np.diag(op.matrix) + mass,
                                    rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("name", FOURIER_CASES)
+    def test_bitwise_rfftn_product(self, cases, name):
+        product = cases[name].table_product
+        ref = ReferenceProduct(product)
+        rng = np.random.default_rng(11)
+        for x in (rng.normal(size=cases[name].size), np.ones(cases[name].size)):
+            assert np.array_equal(product(x), ref(x))
+
+    @pytest.mark.parametrize("dim,n", [(1, 1024), (1, 37), (2, 64), (2, 15)])
+    def test_bitwise_on_full_boxes(self, dim, n):
+        op = assemble(frac_kernel(0.5, dim=dim), Grid.full_box(dim, 1.0, n), None)
+        x = np.random.default_rng(n).normal(size=op.size)
+        assert np.array_equal(op.table_product(x), ReferenceProduct(op.table_product)(x))
+
+    @pytest.mark.parametrize("name", ["masked-1d", "masked-2d", "separable-2d"])
+    def test_bitwise_sources(self, cases, name):
+        # the killing's path: x sits on the unmasked box cells
+        op = cases[name]
+        product = op.table_product
+        outside = np.flatnonzero(~op.grid.mask_flat)
+        x = np.random.default_rng(12).normal(size=outside.size)
+        ref = ReferenceProduct(product)
+        for value in (1.0, x):
+            assert np.array_equal(product(value, outside), ref(value, outside))
+
+    @pytest.mark.parametrize("name", ["separable-1d", "separable-2d"])
+    def test_separable_weights_times_bitwise(self, cases, name):
+        # T x + amp g T(g x) + N x, with the reference product swapped in
+        op = cases[name]
+        x = np.random.default_rng(13).normal(size=op.size)
+        got = op.weights_times(x)
+        ref_op = replace(op)
+        ref_op.__dict__["table_product"] = ReferenceProduct(op.table_product)
+        assert np.array_equal(got, ref_op.weights_times(x))
 
 
 def pair_energy(op, u):

@@ -282,6 +282,32 @@ class TestConcentration:
         assert curve.total == pytest.approx(f.total_integral(), rel=1e-13)
 
 
+    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 12)])
+    def test_stacked_rows_match_grid_functions(self, dim, n):
+        g = Grid.full_box(dim, 1.0, n)
+        rng = np.random.default_rng(5)
+        fs = [GridFunction(g, rng.random(g.cell_count)) for _ in range(3)]
+        radii = default_radii(g)
+        rows = np.array([f.values[g.schwarz_order] for f in fs])
+        stacked = concentration_curve(rows, radii, grid=g)
+        assert stacked.integrals.shape == (3, radii.size)
+        for f, integrals in zip(fs, stacked.integrals):
+            curve = concentration_curve(f, radii)
+            assert np.array_equal(stacked.radii, curve.radii)
+            assert np.array_equal(integrals, curve.integrals)
+
+    @pytest.mark.parametrize("value, message", [(np.nan, "finite"), (np.inf, "finite"),
+                                                (-1.0, "nonnegative")])
+    def test_stacked_rows_rejected(self, value, message):
+        g = Grid.full_box(1, 1.0, 8)
+        rows = np.ones((2, 8))
+        rows[1, 3] = value
+        with pytest.raises(ValueError, match=message):
+            concentration_curve(rows, [1.0], grid=g)
+        with pytest.raises(ValueError, match="every cell"):
+            concentration_curve(np.ones((2, 7)), [1.0], grid=g)
+
+
 class TestDomination:
     def test_equal_functions(self):
         g = interval_grid(32, inner=0.9)

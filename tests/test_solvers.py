@@ -170,6 +170,79 @@ def test_pcg_zero_rhs_with_guess_returns_zeros():
 # closed form: with gamma = 1/pi the half-order operator applied to
 # p(x) = (1 - x^2)^{1/2} equals 1 on (-1, 1)
 
+def reference_pcg(A, b, tol, max_iter, x0=None):
+    """The pcg loop with fresh arrays for every update and np.linalg.norm,
+    as a reference for pcg's in-place updates."""
+    big = float(np.max(np.abs(b)))
+    _, shift = np.frexp(big)
+    b = np.ldexp(b, -shift)
+    norm_b = float(np.linalg.norm(b))
+    d = A.diagonal()
+    if x0 is None:
+        x = np.zeros_like(b)
+        r = b.copy()
+    else:
+        x = np.ldexp(x0, -shift)
+        r = b - A @ x
+        rel = float(np.linalg.norm(r)) / norm_b
+        if rel <= tol:
+            return np.array(x0, dtype=np.float64), 0, rel, ()
+    z = r / d
+    p = z.copy()
+    rz = float(r @ z)
+    history = []
+    for it in range(1, max_iter + 1):
+        Ap = A @ p
+        alpha = rz / float(p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        rel = float(np.linalg.norm(r)) / norm_b
+        history.append(rel)
+        if rel <= tol:
+            return np.ldexp(x, shift), it, rel, tuple(history)
+        z = r / d
+        rz_next = float(r @ z)
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    raise AssertionError("reference loop did not converge")
+
+
+def same_solve(got, want):
+    (x, it, rel, hist), (x_ref, it_ref, rel_ref, hist_ref) = got, want
+    assert np.array_equal(x, x_ref)
+    assert (it, rel, hist) == (it_ref, rel_ref, hist_ref)
+
+
+def test_pcg_bitwise_reference_table_system(split_domain_op):
+    grid, op = split_domain_op
+    b = build_rhs(op, GridFunction.from_callable(grid, lambda x: 1.0 + x * x))
+    system = op.system()
+    got = pcg(system, b, 1e-10, 500)
+    assert got[1] > 10
+    same_solve(got, reference_pcg(system, b, 1e-10, 500))
+
+
+def test_pcg_bitwise_reference_with_guess(split_domain_op):
+    _, op = split_domain_op
+    rng = np.random.default_rng(21)
+    b = rng.normal(size=op.size)
+    system = op.system(op.volumes / 0.01)
+    x0 = rng.normal(size=op.size)
+    got = pcg(system, b, 1e-12, 500, x0=x0)
+    assert got[1] > 0
+    same_solve(got, reference_pcg(system, b, 1e-12, 500, x0=x0))
+
+
+def test_pcg_bitwise_reference_dense():
+    rng = np.random.default_rng(22)
+    m = rng.normal(size=(40, 40))
+    A = m @ m.T + 40.0 * np.eye(40)
+    b = rng.normal(size=40) * 1e-7
+    got = pcg(A, b, 1e-13, 200)
+    assert got[1] > 5
+    same_solve(got, reference_pcg(A, b, 1e-13, 200))
+
+
 def half_order_apply(x, gamma):
     def p(y):
         return math.sqrt(max(1.0 - y * y, 0.0))

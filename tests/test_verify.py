@@ -8,6 +8,7 @@ and the acceptance suite reruns them at full trial counts.
 import inspect
 import json
 import math
+import tracemalloc
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -269,6 +270,75 @@ class TestParabolicComparison:
         tv = parabolic_solve(op_v, zero_v, zero_v, TimeGrid(1.0, 4))
         with pytest.raises(ValueError, match="time grids"):
             check_parabolic_comparison(tu, tv)
+
+
+class TestParabolicWindows:
+    """The per-step gaps come from windows of stacked states, and equal the
+    one-step concentration_gap of each step exactly."""
+
+    def march(self, n=64, steps=10):
+        grid = interval_domain(n, [(-1.0, -0.2), (0.2, 1.0)])
+        kernel = power_kernel(0.5)
+        op_u, op_v = assemble(kernel, grid), assemble(kernel, grid.ball_grid)
+        f = GridFunction.constant(grid, 1.0)
+        u0 = GridFunction.from_callable(
+            grid, lambda x: 0.01 * np.exp(-40 * (x - 0.55) ** 2))
+        tg = TimeGrid(0.5, steps)
+        tu = parabolic_solve(op_u, f, u0, tg)
+        tv = parabolic_solve(op_v, schwarz_rearrangement(f),
+                             schwarz_rearrangement(u0), tg)
+        return op_u, op_v, tu, tv
+
+    def test_windows_match_per_step_gaps(self, monkeypatch):
+        op_u, op_v, tu, tv = self.march(steps=10)
+        monkeypatch.setattr(verify, "gap_window", lambda grid: 3)
+        reps = check_parabolic_comparison(tu, tv)
+        assert [r.metadata["step"] for r in reps] == list(range(10))
+        for n, rep in enumerate(reps):
+            slack, worst_r, *_ = verify.concentration_gap(
+                verify.to_grid_function(op_u, tu.states[n]),
+                verify.to_grid_function(op_v, tv.states[n]))
+            assert (rep.slack, rep.worst_location["r"]) == (slack, worst_r)
+        # a window covering the whole march gives the same reports
+        monkeypatch.setattr(verify, "gap_window", lambda grid: 64)
+        assert check_parabolic_comparison(tu, tv) == reps
+
+    def test_window_size(self):
+        # each stacked array of u# and v rows holds at most 8,192 values
+        assert verify.gap_window(box_grid(1024)) == 4
+        assert verify.gap_window(box_grid(256)) == 16
+        assert verify.gap_window(box_grid(64, dim=2)) == 1
+        assert verify.gap_window(box_grid(512, dim=2)) == 1
+
+    @pytest.mark.parametrize("side,value,message", [
+        ("u", math.nan, "values must be finite"),
+        ("v", math.inf, "values must be finite"),
+        ("v", -1e-3, "nonnegative"),
+    ])
+    def test_bad_states_raise_as_per_step(self, monkeypatch, side, value, message):
+        monkeypatch.setattr(verify, "gap_window", lambda grid: 3)
+        op_u, op_v, tu, tv = self.march(steps=7)
+        (tu if side == "u" else tv).states[5, 2] = value
+        # the one-step route of a GridFunction per state raises alike
+        with pytest.raises(ValueError, match=message):
+            verify.concentration_gap(verify.to_grid_function(op_u, tu.states[5]),
+                                     verify.to_grid_function(op_v, tv.states[5]))
+        with pytest.raises(ValueError, match=message):
+            check_parabolic_comparison(tu, tv)
+
+    def test_window_memory(self):
+        # the parabolic-1d1024 geometry: 400 steps, m = 820
+        op_u, op_v, tu, tv = self.march(n=1024, steps=400)
+        check_parabolic_comparison(tu, tv)
+        tracemalloc.start()
+        try:
+            reps = check_parabolic_comparison(tu, tv)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(reps) == 400
+        # what the check allocates beyond the reports it returns
+        assert peak - held < 0.5 * 2 ** 20
 
 
 class TestMaxPrinciple:
@@ -833,6 +903,20 @@ class TestPhi:
             * (math.hypot(x, y) <= r), -1.2, 1.2, -1.2, 1.2, epsabs=1e-11)
         oracle = 2.0 * math.pi - inner
         assert val == pytest.approx(oracle, rel=2e-5)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("prof", ["logarithmic", "power"])
+    def test_one_primitive_per_call_is_bitwise(self, dim, prof):
+        # phi_values builds the radial primitive once for all its points
+        profile = (RadialProfile.logarithmic(eps=1.0, dimension=dim)
+                   if prof == "logarithmic" else RadialProfile.power(s=0.6, dimension=dim))
+        inside, outside = [0.0, 0.3, 0.7], [1.2, 2.0, 2.9]
+        assert np.array_equal(
+            phi_values(profile, 1.0, inside, "phi1"),
+            [verify.exterior_ball_mass(profile, dim, p, 1.0) for p in inside])
+        assert np.array_equal(
+            phi_values(profile, 1.0, outside, "phi2"),
+            [verify.ball_mass(profile, dim, p, 1.0) for p in outside])
 
     def test_monotonicity_across_kinds(self):
         profiles = [RadialProfile.power(s=0.6, dimension=1),
