@@ -318,12 +318,12 @@ def masked_vector(grid: Grid, f) -> np.ndarray:
     return f
 
 
-def energy(op: DiscreteOperator, u) -> float:
-    """Bilinear energy u^T A u: the sum over pairs of w (u_i - u_j)^2 plus
-    the killing and lower-order diagonal terms, by one product with the
-    operator's system."""
+def energy(op: DiscreteOperator, u, mass: np.ndarray | None = None) -> float:
+    """Bilinear energy u^T (A + diag(mass)) u: the sum over pairs of
+    w (u_i - u_j)^2 plus the killing and lower-order diagonal terms, by one
+    product with the operator's system."""
     u = masked_vector(op.grid, u)
-    return float(u @ (op.system() @ u))
+    return float(u @ (op.system(mass) @ u))
 
 
 def build_rhs(op: DiscreteOperator, f) -> np.ndarray:

@@ -48,8 +48,12 @@ TIME_FACTORS = {"none": None, "decay": lambda t: np.exp(-t),
                 "ramp": lambda t: t}
 CHECK_NAMES = ("coarea", "comparison", "energy", "max_principle",
                "parabolic", "polya_szego")
-ELLIPTIC_CHECKS = frozenset(CHECK_NAMES) - {"parabolic"}
-PARABOLIC_CHECKS = frozenset(("parabolic", "comparison"))
+# run mode -> the checks it allows
+MODE_CHECKS = {"elliptic": frozenset(CHECK_NAMES) - {"parabolic"},
+               "parabolic": frozenset(("parabolic", "comparison"))}
+# domain type -> (dimension, shape of a piece in messages, name of a side)
+PIECE_SHAPES = {"intervals": (1, "[a, b] pairs", "interval"),
+                "boxes": (2, "[[ax, bx], [ay, by]] boxes", "side")}
 
 TOP_KEYS = ("schema", "dimension", "domain", "n", "half_width", "kernel",
             "c", "f", "initial", "time", "checks", "tolerances", "output",
@@ -147,49 +151,32 @@ def validate_domain(domain, dimension, half_width, errors):
         errors.append("domain: expected an object")
         return None
     dtype = domain.get("type")
-    if dtype == "intervals":
+    if dtype in PIECE_SHAPES:
+        # an interval is a box with one side
+        dim, shape, side_name = PIECE_SHAPES[dtype]
         require_keys(domain, ("type", "pieces"), "domain.", errors)
-        if dimension != 1:
-            errors.append("domain.type: intervals require dimension 1")
+        if dimension != dim:
+            errors.append(f"domain.type: {dtype} require dimension {dim}")
         pieces = domain.get("pieces")
-        if (not isinstance(pieces, list) or not pieces
-                or not all(isinstance(p, list) and len(p) == 2
-                           and all(is_number(v) for v in p)
-                           for p in pieces)):
-            errors.append("domain.pieces: expected a nonempty list of [a, b] "
-                          "pairs of finite numbers")
+        boxes = ([[p] for p in pieces] if dim == 1 and isinstance(pieces, list)
+                 else pieces)
+        if (not isinstance(boxes, list) or not boxes
+                or not all(isinstance(box, list) and len(box) == dim
+                           and all(isinstance(side, list) and len(side) == 2
+                                   and all(is_number(v) for v in side)
+                                   for side in box)
+                           for box in boxes)):
+            errors.append(f"domain.pieces: expected a nonempty list of {shape} "
+                          "of finite numbers")
             return None
-        for a, b in pieces:
+        for a, b in (side for box in boxes for side in box):
             if not (-half_width <= a < b <= half_width):
                 errors.append(
-                    f"domain.pieces: interval [{a}, {b}] must satisfy "
+                    f"domain.pieces: {side_name} [{a}, {b}] must satisfy "
                     f"-L <= a < b <= L with L = {half_width}")
-        return {"type": "intervals",
-                "pieces": [[float(a), float(b)] for a, b in pieces]}
-    if dtype == "boxes":
-        require_keys(domain, ("type", "pieces"), "domain.", errors)
-        if dimension != 2:
-            errors.append("domain.type: boxes require dimension 2")
-        pieces = domain.get("pieces")
-        ok = (isinstance(pieces, list) and pieces
-              and all(isinstance(p, list) and len(p) == 2
-                      and all(isinstance(side, list) and len(side) == 2
-                              and all(is_number(v) for v in side)
-                              for side in p)
-                      for p in pieces))
-        if not ok:
-            errors.append("domain.pieces: expected a nonempty list of "
-                          "[[ax, bx], [ay, by]] boxes of finite numbers")
-            return None
-        for box in pieces:
-            for a, b in box:
-                if not (-half_width <= a < b <= half_width):
-                    errors.append(
-                        f"domain.pieces: side [{a}, {b}] must satisfy "
-                        f"-L <= a < b <= L with L = {half_width}")
-        return {"type": "boxes",
-                "pieces": [[[float(a), float(b)] for a, b in box]
-                           for box in pieces]}
+        boxes = [[[float(a), float(b)] for a, b in box] for box in boxes]
+        return {"type": dtype,
+                "pieces": [box[0] for box in boxes] if dim == 1 else boxes}
     if dtype == "ball":
         require_keys(domain, ("type", "radius"), "domain.", errors)
         radius = check_number(domain, "radius", errors, "domain.",
@@ -447,17 +434,17 @@ def parse_config(path):
 
 def domain_mask(cfg, grid):
     dom = cfg.domain
-    centers = grid.centers
-    if dom["type"] == "intervals":
-        x = centers[:, 0]
+    if dom["type"] != "ball":
+        # cells whose center lies strictly inside a piece; an interval is a
+        # box with one side
+        boxes = ([[p] for p in dom["pieces"]] if dom["type"] == "intervals"
+                 else dom["pieces"])
         flat = np.zeros(grid.cell_count, dtype=bool)
-        for a, b in dom["pieces"]:
-            flat |= (x > a) & (x < b)
-    elif dom["type"] == "boxes":
-        flat = np.zeros(grid.cell_count, dtype=bool)
-        for (ax, bx), (ay, by) in dom["pieces"]:
-            flat |= ((centers[:, 0] > ax) & (centers[:, 0] < bx)
-                     & (centers[:, 1] > ay) & (centers[:, 1] < by))
+        for box in boxes:
+            inside = np.ones(grid.cell_count, dtype=bool)
+            for x, (a, b) in zip(grid.centers.T, box):
+                inside &= (x > a) & (x < b)
+            flat |= inside
     else:
         # cell-prefix ball in the rearrangement layout, so a ball domain is
         # bit-identical to its own symmetrized domain
@@ -578,20 +565,15 @@ class WarningLog(warnings.catch_warnings):
 
 def run_scenario(cfg, mode):
     """Execute one scenario; returns (exit_code, summary dict)."""
-    if mode not in ("elliptic", "parabolic"):
+    if mode not in MODE_CHECKS:
         raise ValueError(f"unknown scenario mode {mode!r}")
     if mode == "parabolic" and cfg.time is None:
         raise ScenarioError("a parabolic run needs a time block in the config")
-    if mode == "elliptic":
-        bad = [c for c in cfg.checks if c not in ELLIPTIC_CHECKS]
-        if bad:
-            raise ScenarioError(
-                f"checks not available in an elliptic run: {', '.join(bad)}")
-    else:
-        bad = [c for c in cfg.checks if c not in PARABOLIC_CHECKS]
-        if bad:
-            raise ScenarioError(
-                f"checks not available in a parabolic run: {', '.join(bad)}")
+    bad = [c for c in cfg.checks if c not in MODE_CHECKS[mode]]
+    if bad:
+        article = "an" if mode == "elliptic" else "a"
+        raise ScenarioError(
+            f"checks not available in {article} {mode} run: {', '.join(bad)}")
     with WarningLog() as log:
         return run_phases(cfg, mode, log)
 
@@ -875,9 +857,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         thread_setting()
-    except ValueError as err:
-        return structured_error(err)
-    try:
         if args.command == "rearrange":
             rearrange_csv(args.src, args.dst)
             print(json.dumps({"rearranged": args.dst}))
@@ -895,8 +874,6 @@ def main(argv=None):
         code, summary = run_scenario(cfg, mode)
         print(json.dumps(json_ready(summary), sort_keys=True))
         return code
-    except ConfigError as err:
-        return structured_error(err)
     except RUNTIME_ERRORS as err:
         return structured_error(err)
 

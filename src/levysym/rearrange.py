@@ -196,10 +196,6 @@ class GridFunction:
     def masked_values(self) -> np.ndarray:
         return self.values[self.grid.masked_indices]
 
-    @property
-    def shaped(self) -> np.ndarray:
-        return self.values.reshape(self.grid.mask.shape)
-
     def total_integral(self) -> float:
         return self.grid.cell_volume * float(self.values.sum())
 

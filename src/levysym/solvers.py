@@ -18,7 +18,9 @@ through the operator's weights_times: FFT products with the offset table
 (two more and a near band product for separable_cosine).  The mass
 shift is a diagonal added to that system once per distinct operator:
 once for a fixed operator, every step for a per-step factory.  A march
-keeps its states and one copy of each distinct load.
+keeps its states and one copy of each distinct load.  A time-dependent
+load enters as its per-step means (step_means), by the 8-point
+Gauss-Legendre rule of kernels._gauss_legendre, built on first use.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .assembly import DiscreteOperator, build_rhs, energy, masked_vector
+from .kernels import _gauss_legendre
 from .rearrange import Grid, GridFunction, write_gridfunction_csv
 
 __all__ = [
@@ -159,9 +162,6 @@ class TimeGrid(NamedTuple):
         return self.dt * np.arange(self.steps + 1)
 
 
-GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-
 def step_means(source: Callable, points: np.ndarray, timegrid: TimeGrid):
     """Per-step means of source(x..., t) at points (one row per point, one
     column per axis) by 8-point Gauss quadrature, one array per step,
@@ -169,11 +169,12 @@ def step_means(source: Callable, points: np.ndarray, timegrid: TimeGrid):
     coords = [points[:, k] for k in range(points.shape[1])]
     size = points.shape[0]
     dt = timegrid.dt
+    nodes, weights = _gauss_legendre(8)
     for n in range(timegrid.steps):
         a = n * dt
         mid, half = a + dt / 2.0, dt / 2.0
         acc = np.zeros(size)
-        for node, weight in zip(GAUSS_NODES, GAUSS_WEIGHTS):
+        for node, weight in zip(nodes, weights):
             t = mid + half * node
             acc += weight * np.broadcast_to(
                 np.asarray(source(*coords, t), dtype=np.float64), (size,))

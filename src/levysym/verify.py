@@ -5,7 +5,13 @@ measures how far the claimed inequality is violated, so a check passes
 when its slack stays at or below the tolerance.  Identity checks use an
 absolute-value slack and a near-machine tolerance; comparison checks use
 the mesh-coupled tolerance tau(h) because discretization adds a bias of
-order h with an unknown constant.
+order h with an unknown constant.  The checks on grid functions carry no
+metadata beyond the parabolic check's step index; the lemma checks record
+their inputs and which hypotheses were active.
+
+The level-set inequality, the step the comparison is drawn from, is read
+off one prefix sum of the residual of u# over the cells in ball order, so
+a level costs only the count of the cells above it.
 """
 
 from __future__ import annotations
@@ -117,11 +123,6 @@ def write_reports(reports: Sequence[CheckReport], path, config_digest: str) -> N
             fh.write("\n")
 
 
-def base_metadata(grid: Grid) -> dict:
-    return {"mode": "grid", "dimension": grid.dimension, "n": grid.n,
-            "half_width": grid.half_width, "masked_cells": int(grid.masked_count)}
-
-
 # --- concentration comparison -----------------------------------------------
 
 def concentration_gaps(u_grid: Grid, u_rows: np.ndarray, v_grid: Grid,
@@ -174,8 +175,7 @@ def check_comparison(u: GridFunction, v: GridFunction, radii=None,
     slack, worst_r, *_ = concentration_gap(u, v, radii)
     tol = tau(u.grid.h, kappa_tol)
     return CheckReport(check="comparison", slack=slack, tolerance=tol,
-                       passed=slack <= tol, worst_location={"r": worst_r},
-                       metadata=base_metadata(u.grid))
+                       passed=slack <= tol, worst_location={"r": worst_r})
 
 
 def check_energy_comparison(op_u: DiscreteOperator, u, op_v: DiscreteOperator,
@@ -184,8 +184,7 @@ def check_energy_comparison(op_u: DiscreteOperator, u, op_v: DiscreteOperator,
     slack = energy(op_u, u) - energy(op_v, v)
     tol = tau(op_u.grid.h, kappa_tol)
     return CheckReport(check="energy_comparison", slack=slack, tolerance=tol,
-                       passed=slack <= tol, worst_location={"scope": "global"},
-                       metadata=base_metadata(op_u.grid))
+                       passed=slack <= tol, worst_location={"scope": "global"})
 
 
 def check_parabolic_comparison(traj_u: Trajectory, traj_v: Trajectory,
@@ -217,13 +216,11 @@ def check_parabolic_comparison(traj_u: Trajectory, traj_v: Trajectory,
             gu, traj_u.states[lo:hi], op_v0.grid, traj_v.states[lo:hi], radii)[:2]
         for n, slack, worst_r in zip(range(lo, hi), slacks.tolist(),
                                      worst_rs.tolist()):
-            meta = base_metadata(gu)
-            meta["step"] = n
             reports.append(CheckReport(
                 check="parabolic_comparison", slack=slack, tolerance=tol,
                 passed=slack <= tol,
                 worst_location={"r": worst_r, "t": float(times[n + 1])},
-                metadata=meta))
+                metadata={"step": n}))
     return reports
 
 
@@ -248,14 +245,14 @@ def check_max_principle(op: DiscreteOperator, f, tol: float = 1e-12) -> CheckRep
     tolerance = 10.0 * tol
     return CheckReport(check="max_principle", slack=slack, tolerance=tolerance,
                        passed=slack <= tolerance,
-                       worst_location={"cell": worst},
-                       metadata=base_metadata(op.grid))
+                       worst_location={"cell": worst})
 
 
 def seminorm_sq(op: DiscreteOperator, u) -> float:
     """Kernel part of the energy: pair terms plus the exterior killing term,
-    with no lower-order diagonal."""
-    return energy(op.with_cdiag(np.zeros(op.size)), u)
+    with no lower-order diagonal.  The mass -cdiag cancels that diagonal
+    exactly, so the system's diagonal is deg + kappa on the operator itself."""
+    return energy(op, u, mass=-op.cdiag)
 
 
 def check_polya_szego(op_u: DiscreteOperator, op_v: DiscreteOperator,
@@ -270,8 +267,7 @@ def check_polya_szego(op_u: DiscreteOperator, op_v: DiscreteOperator,
     slack = seminorm_sq(op_v, us) - seminorm_sq(op_u, u)
     tol = tau(u.grid.h, kappa_tol)
     return CheckReport(check="polya_szego", slack=slack, tolerance=tol,
-                       passed=slack <= tol, worst_location={"scope": "global"},
-                       metadata=base_metadata(u.grid))
+                       passed=slack <= tol, worst_location={"scope": "global"})
 
 
 # --- Riesz-type rearrangement inequality --------------------------------------
@@ -327,8 +323,7 @@ def check_riesz(W: RadialProfile, u: GridFunction, v: GridFunction,
             worst = {"family": family}
     tol = tau(h, kappa_tol)
     return CheckReport(check="riesz", slack=slack, tolerance=tol,
-                       passed=slack <= tol, worst_location=worst,
-                       metadata=base_metadata(u.grid))
+                       passed=slack <= tol, worst_location=worst)
 
 
 def interaction_sum(W: RadialProfile, u: GridFunction, v: GridFunction,
@@ -461,8 +456,7 @@ def check_coarea(op: DiscreteOperator, u: GridFunction, mode: str = "plain",
     slack = abs(lhs - rhs) / scale
     return CheckReport(check=f"coarea_{mode}", slack=slack, tolerance=1e-10,
                        passed=slack <= 1e-10,
-                       worst_location={"levels": int(levels.size - 1)},
-                       metadata=base_metadata(op.grid))
+                       worst_location={"levels": int(levels.size - 1)})
 
 
 # --- level-set flux inequality -------------------------------------------------
@@ -471,7 +465,14 @@ def check_level_set_inequality(op: DiscreteOperator, u_sharp: GridFunction,
                                c_sharp, f_sharp, levels,
                                kappa_tol: float = DEFAULT_KAPPA_TOL) -> list:
     """On each super-level ball: outward kernel flux plus the lower-order
-    mass is at most the source mass."""
+    mass is at most the source mass.
+
+    Pairs inside a ball E cancel, so lhs - rhs on E is the sum over E of
+    the residual (deg + kappa + vol c) u - W u - vol f.  At level t that is
+    its sum over the first #(u > t) cells in ball order: one weights_times
+    product and one cumulative sum serve every level.  The count is taken
+    per level, not by a binary search, since the radial check admits rises
+    of up to 1e-12 and the values are not exactly sorted."""
     grid = op.grid
     uvec = masked_vector(grid, u_sharp)
     cvec = masked_vector(grid, c_sharp)
@@ -486,23 +487,14 @@ def check_level_set_inequality(op: DiscreteOperator, u_sharp: GridFunction,
         raise ValueError("levels must be positive")
     vol = grid.cell_volume
     tol = tau(grid.h, kappa_tol)
-    reports = []
-    for t in levels:
-        m = int(np.sum(sorted_vals > t))
-        inside = np.zeros(op.size, dtype=bool)
-        inside[order[:m]] = True
-        outside = ~inside
-        ui, uo = np.where(inside, uvec, 0.0), np.where(outside, uvec, 0.0)
-        flux = float(ui @ op.weights_times(outside) - inside @ op.weights_times(uo))
-        lhs = flux + float(op.kappa @ ui) + vol * float(cvec @ (uvec * inside))
-        rhs = vol * float(fvec @ inside)
-        slack = lhs - rhs
-        reports.append(CheckReport(
-            check="level_set_inequality", slack=slack, tolerance=tol,
-            passed=slack <= tol,
-            worst_location={"level": float(t), "cells": m},
-            metadata=base_metadata(grid)))
-    return reports
+    residual = ((op.degree + op.kappa + vol * cvec) * uvec
+                - op.weights_times(uvec) - vol * fvec)
+    prefix = np.concatenate(([0.0], np.cumsum(residual[order])))
+    counts = [int(np.sum(sorted_vals > t)) for t in levels]
+    return [CheckReport(check="level_set_inequality", slack=prefix[m],
+                        tolerance=tol, passed=prefix[m] <= tol,
+                        worst_location={"level": float(t), "cells": m})
+            for t, m in zip(levels, counts)]
 
 
 # --- ball convolutions and their monotonicity ----------------------------------
@@ -641,38 +633,28 @@ def check_maxmin_lemma(u, v, h1, h2, volumes=None) -> CheckReport:
 
     d = (u - v) * volumes
     running = np.cumsum(d)
-    meta = {}
+    meta = {"max_hypothesis": "vacuous", "min_hypothesis": "vacuous"}
     slack = -math.inf
     worst = {"branch": "none"}
-    any_active = False
 
     peak = int(np.argmax(running))
     if running[peak] > 0:
-        any_active = True
         meta["max_hypothesis"] = "active"
         weighted = float(np.cumsum(d * h1)[peak])
         if -weighted > slack:
             slack = -weighted
             worst = {"branch": "max", "index": peak}
-    else:
-        meta["max_hypothesis"] = "vacuous"
 
-    tails = running[-1] - running  # tail sum strictly beyond each index
-    if tails.size > 1:
-        inner = tails[:-1]
-        kbar = int(np.argmax(inner))
-        if inner[kbar] > 0:
-            any_active = True
-            meta["min_hypothesis"] = "active"
-            weighted = float(np.sum(d[kbar + 1:] * h2[kbar + 1:]))
-            if -weighted > slack:
-                slack = -weighted
-                worst = {"branch": "min", "index": kbar + 1}
-        else:
-            meta["min_hypothesis"] = "vacuous"
-    else:
-        meta["min_hypothesis"] = "vacuous"
+    inner = (running[-1] - running)[:-1]  # tail sums strictly beyond each index
+    kbar = int(np.argmax(inner)) if inner.size else 0
+    if inner.size and inner[kbar] > 0:
+        meta["min_hypothesis"] = "active"
+        weighted = float(np.sum(d[kbar + 1:] * h2[kbar + 1:]))
+        if -weighted > slack:
+            slack = -weighted
+            worst = {"branch": "min", "index": kbar + 1}
 
+    any_active = "active" in meta.values()
     meta["vacuous"] = not any_active
     if not any_active:
         return CheckReport(check="maxmin_lemma", slack=0.0, tolerance=STRICT_TOL,

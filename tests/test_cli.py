@@ -18,6 +18,9 @@ from levysym.rearrange import (Grid, GridFunction, read_gridfunction_csv,
 from levysym.solvers import TimeGrid, time_average
 
 
+BOXES = [[[-1.0, -0.1], [-1.0, 1.0]], [[0.1, 1.0], [-0.5, 0.5]]]
+
+
 def write_config(tmp_path, name="scenario.json", **overrides):
     doc = {
         "schema": 1,
@@ -84,6 +87,68 @@ class TestParseConfig:
             parse_config(path)
         assert any("intervals require dimension 1" in e
                    for e in exc.value.errors)
+
+    @pytest.mark.parametrize("dimension, domain, errors", [
+        (2, {"type": "intervals", "pieces": [[-1.0, -0.2], [0.2, 1.0]]},
+         ["domain.type: intervals require dimension 1"]),
+        (1, {"type": "boxes", "pieces": BOXES},
+         ["domain.type: boxes require dimension 2"]),
+        (1, {"type": "intervals", "pieces": []},
+         ["domain.pieces: expected a nonempty list of [a, b] pairs of finite numbers"]),
+        (1, {"type": "intervals", "pieces": [[0.0, 0.5, 0.7]]},
+         ["domain.pieces: expected a nonempty list of [a, b] pairs of finite numbers"]),
+        (1, {"type": "intervals", "pieces": [0.0, 0.5]},
+         ["domain.pieces: expected a nonempty list of [a, b] pairs of finite numbers"]),
+        (2, {"type": "intervals", "pieces": "x"},
+         ["domain.type: intervals require dimension 1",
+          "domain.pieces: expected a nonempty list of [a, b] pairs of finite numbers"]),
+        (1, {"type": "intervals", "pieces": [[-2.0, 0.5], [0.6, 0.6]]},
+         ["domain.pieces: interval [-2.0, 0.5] must satisfy -L <= a < b <= L "
+          "with L = 1.0",
+          "domain.pieces: interval [0.6, 0.6] must satisfy -L <= a < b <= L "
+          "with L = 1.0"]),
+        (2, {"type": "boxes", "pieces": [[-1.0, 0.0]]},
+         ["domain.pieces: expected a nonempty list of [[ax, bx], [ay, by]] "
+          "boxes of finite numbers"]),
+        (2, {"type": "boxes", "pieces": [[[-1.0, 0.0], [0.0, 0.5], [0.0, 0.5]]]},
+         ["domain.pieces: expected a nonempty list of [[ax, bx], [ay, by]] "
+          "boxes of finite numbers"]),
+        (2, {"type": "boxes", "pieces": [[[-1.0, 0.0], [0.0, True]]]},
+         ["domain.pieces: expected a nonempty list of [[ax, bx], [ay, by]] "
+          "boxes of finite numbers"]),
+        (1, {"type": "boxes", "pieces": None},
+         ["domain.type: boxes require dimension 2",
+          "domain.pieces: expected a nonempty list of [[ax, bx], [ay, by]] "
+          "boxes of finite numbers"]),
+        (2, {"type": "boxes", "pieces": [[[0.5, 0.2], [-1.0, 1.5]]]},
+         ["domain.pieces: side [0.5, 0.2] must satisfy -L <= a < b <= L "
+          "with L = 1.0",
+          "domain.pieces: side [-1.0, 1.5] must satisfy -L <= a < b <= L "
+          "with L = 1.0"]),
+        (2, {"type": "boxes", "pieces": BOXES, "why": 1}, ["domain.why: unknown key"]),
+        (2, {"type": "ball"}, ["domain.radius: required for a ball domain"]),
+        (2, {"type": "ball", "radius": 1.5},
+         ["domain.radius: must not exceed the box half-width"]),
+        (1, {"type": "disc"}, ["domain.type: expected one of ball, boxes, intervals"]),
+        (1, [], ["domain: expected an object"]),
+    ])
+    def test_domain_messages(self, tmp_path, dimension, domain, errors):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(write_config(tmp_path, dimension=dimension, domain=domain))
+        assert exc.value.errors == errors
+
+    @pytest.mark.parametrize("dimension, pieces, canonical", [
+        (1, [[-1, 0], [0.25, 1]], [[-1.0, 0.0], [0.25, 1.0]]),
+        (2, [[[-1, 0], [0, 1]]], [[[-1.0, 0.0], [0.0, 1.0]]]),
+    ])
+    def test_domain_pieces_canonical(self, tmp_path, dimension, pieces, canonical):
+        # the canonical pieces keep the nesting of their type, so the config
+        # hash of a scenario does not depend on how the domain is validated
+        kind = "intervals" if dimension == 1 else "boxes"
+        cfg = parse_config(write_config(tmp_path, dimension=dimension,
+                                        domain={"type": kind, "pieces": pieces}))
+        assert cfg.domain == {"type": kind, "pieces": canonical}
+        assert all(type(v) is float for v in np.ravel(cfg.domain["pieces"]).tolist())
 
     def test_interval_bounds_checked(self, tmp_path):
         path = write_config(
@@ -368,8 +433,23 @@ class TestRunScenario:
         cfg = parse_config(write_config(
             tmp_path, time={"horizon": 1.0, "steps": 4},
             checks=["parabolic"]))
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError) as exc:
             run_scenario(cfg, "elliptic")
+        assert str(exc.value) == "checks not available in an elliptic run: parabolic"
+
+    def test_parabolic_mode_rejects_elliptic_checks(self, tmp_path):
+        cfg = parse_config(write_config(
+            tmp_path, time={"horizon": 1.0, "steps": 4},
+            checks=["comparison", "energy", "parabolic", "coarea"]))
+        with pytest.raises(ScenarioError) as exc:
+            run_scenario(cfg, "parabolic")
+        assert str(exc.value) == ("checks not available in a parabolic run: "
+                                  "energy, coarea")
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_mode_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown scenario mode 'steady'"):
+            run_scenario(parse_config(write_config(tmp_path)), "steady")
 
     def test_determinism_byte_identical_reports(self, tmp_path):
         path = write_config(tmp_path, checks=["comparison", "energy"],

@@ -1,10 +1,12 @@
 """What importing levysym loads: no module-level scipy import, no unused
-imported name, and which scipy subpackages a scenario run pulls in (each
-case in a fresh interpreter, since sys.modules only grows)."""
+imported name or unreferenced function, and which modules importing the
+CLI and a scenario run pull in (each case in a fresh interpreter, since
+sys.modules only grows)."""
 
 import ast
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -16,6 +18,8 @@ PACKAGE = Path(levysym.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+SEARCHED = [path for top in ("src", "tests", "benchmarks")
+            for path in sorted((BENCHMARKS.parent / top).rglob("*.py"))]
 
 
 def parse(path):
@@ -100,6 +104,45 @@ def test_every_imported_name_is_used():
     assert unused == [], f"imported but never used: {unused}"
 
 
+def defined_functions(tree):
+    """Names of the non-dunder module-level functions and methods."""
+    bodies = [tree.body] + [node.body for node in tree.body
+                            if isinstance(node, ast.ClassDef)]
+    return [node.name for body in bodies for node in body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def unreferenced(functions, texts):
+    """The names that occur, as a whole word, only once over the texts:
+    at their own definition."""
+    return [name for name in functions
+            if sum(len(re.findall(rf"\b{name}\b", text)) for text in texts) < 2]
+
+
+def test_every_function_is_referenced():
+    texts = [path.read_text() for path in SEARCHED]
+    dead = [f"{path.name}:{name}" for path in MODULES
+            for name in unreferenced(defined_functions(parse(path)), texts)]
+    assert dead == [], f"defined but referenced nowhere: {dead}"
+
+
+def test_reference_scan_sees_what_it_must():
+    tree = ast.parse(
+        "def used():\n"
+        "    def nested():\n"
+        "        pass\n"
+        "class C:\n"
+        "    def __init__(self):\n"
+        "        pass\n"
+        "    @property\n"
+        "    def orphan(self):\n"
+        "        return used()\n")
+    functions = defined_functions(tree)
+    assert functions == ["used", "orphan"]
+    assert unreferenced(functions, [ast.unparse(tree), "unused_name"]) == ["orphan"]
+
+
 def test_scan_sees_what_it_must():
     """The scan catches a top-level scipy import, one under an if at module
     level and an unused name, and leaves function-level and TYPE_CHECKING
@@ -124,6 +167,7 @@ CHILD = r"""
 import json, os, sys, warnings
 import levysym.cli as cli
 
+polynomial_at_import = "numpy.polynomial" in sys.modules
 warnings.simplefilter("ignore")
 codes = [cli.run_scenario(cli.parse_config(path), mode)[0]
          for path, mode in json.loads(sys.argv[1])]
@@ -131,6 +175,7 @@ print(json.dumps({
     "codes": codes,
     "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
     "numpy_ma": "numpy.ma" in sys.modules,
+    "polynomial_at_import": polynomial_at_import,
     "env": {var: os.environ.get(var) for var in json.loads(sys.argv[2])},
 }))
 """
@@ -175,6 +220,13 @@ def run_child(tmp_path, scenarios, env=None, report=()):
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_no_numpy_polynomial(tmp_path):
+    # the Gauss-Legendre rule is built on first use (kernels._gauss_legendre)
+    out = run_child(tmp_path, [])
+    assert out["codes"] == []
+    assert not out["polynomial_at_import"]
 
 
 def test_unmodulated_fractional_run_loads_no_scipy(tmp_path):

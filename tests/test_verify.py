@@ -16,7 +16,8 @@ import pytest
 from scipy.integrate import dblquad
 
 from levysym import verify
-from levysym.assembly import DiscreteOperator, assemble, build_rhs
+from levysym.assembly import (DiscreteOperator, assemble, build_rhs, energy,
+                              masked_vector)
 from levysym.kernels import (IntegrabilityError, Kernel, RadialProfile,
                              make_modulation)
 from levysym.rearrange import (Grid, GridFunction, concentration_dominates,
@@ -427,6 +428,18 @@ class TestPolyaSzego:
         with pytest.raises(ValueError):
             check_polya_szego(op_u, op_v, u)
 
+    def test_seminorm_drops_only_the_lower_order_diagonal(self):
+        # against the energy of a copy of the operator with cdiag = 0
+        grid = interval_domain(64, [(-0.9, -0.1), (0.3, 0.9)])
+        c = 3.0 + grid.centers[grid.masked_indices, 0] ** 2
+        op = assemble(power_kernel(0.5), grid, c=c)
+        u = random_gridfunction(grid, np.random.default_rng(12))
+        copy = energy(op.with_cdiag(np.zeros(op.size)), u)
+        assert verify.seminorm_sq(op, u) == pytest.approx(copy, rel=1e-13, abs=0.0)
+        uvec = u.masked_values
+        assert energy(op, u) - copy == pytest.approx(float(uvec @ (op.cdiag * uvec)),
+                                                     rel=1e-9)
+
 
 class TestRiesz:
     def test_equality_on_radial_data(self):
@@ -604,7 +617,82 @@ class TestTruncate:
             truncate(u, 0.1, 0.0)
 
 
+def level_set_reference(op, u_sharp, c_sharp, f_sharp, levels):
+    """Slacks of the level-set inequality by its per-level form: the flux
+    out of each super-level ball from two weights_times products."""
+    grid = op.grid
+    uvec, cvec, fvec = (masked_vector(grid, x) for x in (u_sharp, c_sharp, f_sharp))
+    order = np.argsort(grid.radius_keys[grid.masked_indices], kind="stable")
+    vol = grid.cell_volume
+    slacks = []
+    for t in levels:
+        inside = np.zeros(op.size, dtype=bool)
+        inside[order[:int(np.sum(uvec[order] > t))]] = True
+        outside = ~inside
+        ui, uo = np.where(inside, uvec, 0.0), np.where(outside, uvec, 0.0)
+        flux = float(ui @ op.weights_times(outside) - inside @ op.weights_times(uo))
+        lhs = flux + float(op.kappa @ ui) + vol * float(cvec @ (uvec * inside))
+        slacks.append(lhs - vol * float(fvec @ inside))
+    return np.array(slacks)
+
+
+BOXES = [[(-1.0, -0.1), (-1.0, 1.0)], [(0.1, 1.0), (-0.5, 0.5)]]
+
+
+def two_piece_domain(dim, n):
+    """The two intervals or the two boxes of the benchmark geometries."""
+    if dim == 1:
+        return interval_domain(n, [(-1.0, -0.2), (0.2, 1.0)])
+    x, y = box_grid(n, dim=2).centers.T
+    mask = np.zeros(n * n, dtype=bool)
+    for (ax, bx), (ay, by) in BOXES:
+        mask |= (x > ax) & (x < bx) & (y > ay) & (y < by)
+    return box_grid(n, dim=2, mask=mask.reshape(n, n))
+
+
+def rearranged_solution(dim, n, envelope_gamma=1.0, with_c=True):
+    """(op_v, u#, c#, f#, every distinct positive level of u#): u solves the
+    problem on the two-piece domain with f = 1 and c = 1 + |x|^2 (or 0),
+    and op_v is assembled on the ball from the power envelope with the
+    given gamma."""
+    grid = two_piece_domain(dim, n)
+    r2 = np.sum(grid.centers ** 2, axis=1)
+    c = GridFunction(grid, np.where(grid.mask_flat, 1.0 + r2 if with_c else 0.0, 0.0))
+    f = GridFunction.constant(grid, 1.0)
+    op_u = assemble(power_kernel(0.5, dim=dim), grid, c=c.masked_values)
+    cs = schwarz_rearrangement(c, direction="increasing")
+    op_v = assemble(power_kernel(0.5, dim=dim, gamma=envelope_gamma), grid.ball_grid,
+                    c=cs.masked_values)
+    us = schwarz_rearrangement(solve_elliptic(op_u, f).function)
+    vals = np.sort(us.masked_values)
+    levels = vals[np.concatenate(([True], vals[1:] != vals[:-1]))]
+    return op_v, us, cs, schwarz_rearrangement(f), levels[levels > 0]
+
+
 class TestLevelSet:
+    @pytest.mark.parametrize("dim, n", [(1, 256), (2, 32)])
+    def test_prefix_form_matches_per_level_reference(self, dim, n):
+        op_v, us, cs, fs, levels = rearranged_solution(dim, n)
+        assert levels.size > 100
+        reps = check_level_set_inequality(op_v, us, cs, fs, levels)
+        slacks = np.array([r.slack for r in reps])
+        ref = level_set_reference(op_v, us, cs, fs, levels)
+        assert np.all(np.abs(slacks - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+        assert [r.worst_location["level"] for r in reps] == levels.tolist()
+
+    def test_doubled_envelope_fails_at_every_level(self):
+        # v assembled from 2J: the flux out of every nonempty super-level
+        # ball doubles, so the inequality fails at all of them, beyond tau(h)
+        op_v, us, cs, fs, levels = rearranged_solution(2, 32, envelope_gamma=2.0,
+                                                       with_c=False)
+        reps = check_level_set_inequality(op_v, us, cs, fs, levels[:-1])
+        slacks = np.array([r.slack for r in reps])
+        assert all(r.worst_location["cells"] > 0 for r in reps)
+        assert np.all(slacks > 0.0)
+        worst = reps[int(np.argmax(slacks))]
+        assert worst.slack > tau(op_v.grid.h)
+        assert not worst.passed
+
     def setup_radial_solution(self, n=64):
         g = box_grid(n)
         grid = box_grid(n, mask=np.abs(g.centers[:, 0]) < 0.8).ball_grid
