@@ -48,6 +48,22 @@ profile's kernels.radial_primitive(..., tail=True) is averaged over the
 rays.  A block holds ROW_BLOCK / 8 rays (16 representatives), so the
 about seven arrays it has live at once fit in one row block; a
 representative's density is the mean of its own row, whatever the block.
+
+What does not depend on the mask is a BoxKernel, which every operator
+keeps as box_kernel: the table with its near constants and their depths,
+the symbol, and the tail density at the representatives of its mask.
+assemble(kernel, grid, c, shared=other.box_kernel) takes the table,
+symbol and near constants as they are when both kernels are unmodulated
+with one profile object (shares_table: an analytic profile and its
+rearrangement, which rearrange_profile returns as is), and the tail at
+the representatives both masks have whenever the profiles are one
+object, since the tail reads the profile alone; it computes the tail at
+the other representatives and builds everything else, so a shared
+operator equals a standalone one bit for bit.  The table and symbol are
+made read-only once the near constants are in.  A tabulated profile, a
+rough_cosine original (its table carries the modulation) and a
+separable_cosine one (no near constants in its table) leave the
+symmetrized operator to build its own table.
 """
 
 from __future__ import annotations
@@ -116,7 +132,8 @@ class DiscreteOperator:
     0.  Both are None without that modulation.  pair_rows and
     weights_times read W in both forms without building an m x m array.
     kappa and cdiag are the killing and lower-order diagonals, already
-    volume-weighted.
+    volume-weighted.  box_kernel is the mask-free part assemble built or
+    shared (None for an operator built by hand).
     """
 
     grid: Grid
@@ -131,6 +148,7 @@ class DiscreteOperator:
     g: np.ndarray | None = None
     near: np.ndarray | None = None
     near_cols: np.ndarray | None = None
+    box_kernel: BoxKernel | None = None
 
     def __post_init__(self):
         m = self.size
@@ -224,27 +242,96 @@ class DiscreteOperator:
     def system(self, mass: np.ndarray | None = None) -> "OperatorSystem":
         """The matrix A + diag(mass) in the form pcg takes."""
         cdiag = self.cdiag if mass is None else self.cdiag + mass
-        return OperatorSystem(self, self.degree + self.kappa + cdiag)
+        return OperatorSystem(self, self.degree + self.kappa + cdiag,
+                              shifted=mass is not None)
 
     def with_cdiag(self, cdiag: np.ndarray) -> "DiscreteOperator":
         """Same interaction weights with a replaced lower-order diagonal."""
         return replace(self, cdiag=np.asarray(cdiag, dtype=np.float64))
 
 
-class OperatorSystem:
-    """diag - W for an operator's weights W, with the shape, diagonal() and
-    @ that pcg uses; W x goes through the operator's weights_times."""
+@dataclass(frozen=True, eq=False)
+class BoxKernel:
+    """The part of an operator that does not depend on its mask: the
+    offset table with the near constants written in (none for a separable
+    kernel, whose near band is per mask), their refinement depths, the
+    table's symbol, and the exterior tail density at the orbit
+    representatives (see tail_orbits) of the mask it was built for.  The
+    table and symbol are read-only, so operators may share them."""
 
-    def __init__(self, op: DiscreteOperator, diag: np.ndarray):
+    kernel: Kernel
+    dimension: int
+    n: int
+    half_width: float
+    pairs: np.ndarray
+    symbol: np.ndarray
+    depths: dict
+    tail_reps: np.ndarray
+    tail_dens: np.ndarray
+
+    def fits(self, grid: Grid) -> bool:
+        """Whether grid has this box: the same dimension, n and L."""
+        return (grid.dimension, grid.n, grid.half_width) == (
+            self.dimension, self.n, self.half_width)
+
+    def tail_at(self, kernel: Kernel, grid: Grid, reps: np.ndarray) -> np.ndarray:
+        """Tail densities at the sorted representatives reps: the stored
+        ones where this box kernel has them, box_tail_density's for the
+        rest.  A representative's density is the same either way."""
+        pos = np.minimum(np.searchsorted(self.tail_reps, reps), self.tail_reps.size - 1)
+        have = self.tail_reps[pos] == reps
+        dens = np.empty(reps.size)
+        dens[have] = self.tail_dens[pos[have]]
+        dens[~have] = box_tail_density(kernel, grid, reps[~have])
+        return dens
+
+
+class OperatorSystem:
+    """diag - W for an operator's weights W, with the shape, diagonal(), @
+    and precondition that pcg uses; W x goes through the operator's
+    weights_times.  shifted marks a system with a mass added to the
+    operator's own diagonal."""
+
+    def __init__(self, op: DiscreteOperator, diag: np.ndarray, shifted: bool = False):
         self.op = op
         self.diag = diag
         self.shape = (op.size, op.size)
+        self.shifted = shifted
 
     def diagonal(self) -> np.ndarray:
         return self.diag
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.diag * x - self.op.weights_times(x)
+
+    @cached_property
+    def precondition(self):
+        """r -> M^-1 r = S^-1 C^-1 S^-1 r, C the circulant with the symbol
+        d - sigma, d the median of the diagonal D and sigma the table's
+        symbol, and S = (D / d)^(1/2): one OffsetProduct with the symbol
+        1 / (d - sigma) between two scalings.  None, for Jacobi, when the
+        system is shifted, has a near band or d - sigma is not positive at
+        every frequency (see solvers)."""
+        if self.shifted or self.op.near is not None:
+            return None
+        dbar = median(self.diag)
+        gap = dbar - self.op.symbol
+        if not gap.min() > 0.0:
+            return None
+        product = OffsetProduct(np.reciprocal(gap, out=gap), self.op.grid)
+        unscale = np.sqrt(dbar / self.diag)
+
+        def apply(r):
+            z = product(unscale * r)
+            z *= unscale
+            return z
+
+        return apply
+
+    @property
+    def preconditioner(self) -> str:
+        """The name of the preconditioner pcg applies: circulant or jacobi."""
+        return "jacobi" if self.precondition is None else "circulant"
 
 
 class OffsetProduct:
@@ -454,22 +541,37 @@ def median(x: np.ndarray) -> float:
     return float(part[k - 1 + x.size % 2:k + 1].mean())
 
 
-def box_tail_density(kernel: Kernel, grid: Grid) -> np.ndarray:
-    """Envelope interaction density with the exterior of the box, per
-    masked cell: integral of J(|x_i - y|) dy over R^N minus the box."""
-    prim = radial_primitive(kernel.profile, grid.dimension - 1.0, tail=True)
-    L = grid.half_width
+def tail_orbits(grid: Grid) -> tuple:
+    """(reps, inverse): the sorted flat box indices of the orbit
+    representatives of the masked cells and each masked cell's position
+    among them.  In 2-D a cell's orbit is its class under the square's
+    eight symmetries, represented by the folded index (a, b), a <= b, at
+    flat index a * n + b; in 1-D every cell is its own representative."""
     if grid.dimension == 1:
-        x = grid.centers[grid.masked_indices, 0]
-        return np.asarray(prim(L + x) + prim(L - x), dtype=np.float64)
+        return grid.masked_indices, np.arange(grid.masked_count)
     if grid.dimension == 2:
-        # fold each cell onto its orbit representative under the square's
-        # symmetries; the representative's flat index is a * n + b
         n = grid.n
         idx = grid.index_array[grid.masked_indices]
         folded = np.sort(np.minimum(idx, n - 1 - idx), axis=1)
         reps, inverse = np.unique(folded[:, 0] * n + folded[:, 1],
                                   return_inverse=True)
+        return reps, inverse.ravel()
+    raise ValueError("full-grid assembly supports dimensions 1 and 2")
+
+
+def box_tail_density(kernel: Kernel, grid: Grid, reps: np.ndarray | None = None) -> np.ndarray:
+    """Envelope interaction density with the exterior of the box: integral
+    of J(|x - y|) dy over R^N minus the box, per masked cell, or at the box
+    cells reps (flat indices, orbit representatives in 2-D) when given."""
+    inverse = None
+    if reps is None:
+        reps, inverse = tail_orbits(grid)
+    prim = radial_primitive(kernel.profile, grid.dimension - 1.0, tail=True)
+    L = grid.half_width
+    if grid.dimension == 1:
+        x = grid.centers[reps, 0]
+        dens = np.asarray(prim(L + x) + prim(L - x), dtype=np.float64)
+    elif grid.dimension == 2:
         X = grid.centers[reps]
         # polar decomposition: for each direction the ray exits the box at
         # distance min over axes of (signed face gap / direction cosine),
@@ -483,8 +585,9 @@ def box_tail_density(kernel: Kernel, grid: Grid) -> np.ndarray:
             exit_dist = np.where(cx > 0, L - x, -L - x) / cx
             np.minimum(exit_dist, np.where(cy > 0, L - y, -L - y) / cy, out=exit_dist)
             dens[lo:lo + step] = prim(exit_dist).mean(axis=1) * 2.0 * math.pi
-        return dens[inverse.ravel()]
-    raise ValueError("full-grid assembly supports dimensions 1 and 2")
+    else:
+        raise ValueError("full-grid assembly supports dimensions 1 and 2")
+    return dens if inverse is None else dens[inverse]
 
 
 def far_offset_table(kernel: Kernel, grid: Grid) -> np.ndarray:
@@ -504,6 +607,22 @@ def far_offset_table(kernel: Kernel, grid: Grid) -> np.ndarray:
     if isinstance(kernel.modulation, RoughCosine):
         table[far] *= offset_modulation(kernel, diff)
     return table
+
+
+def near_constants(kernel: Kernel, grid: Grid, pairs: np.ndarray) -> dict:
+    """Write one refined near constant per lex-positive offset that fits in
+    the table into pairs, at +delta and -delta (the source cell is
+    immaterial), and return the refinement depth of each."""
+    n, dim = grid.n, grid.dimension
+    table = pairs.reshape((2 * n - 1,) * dim)
+    depths = {}
+    for delta in near_offsets(dim):
+        if lex_positive(delta) and max(map(abs, delta)) < n:
+            wvals, depths[str(delta)] = refined_pair_weights(
+                kernel, grid.centers, np.zeros(1, dtype=np.int64), delta, grid.h)
+            d = np.asarray(delta)
+            table[tuple(n - 1 + d)] = table[tuple(n - 1 - d)] = wvals[0]
+    return depths
 
 
 def near_field(kernel: Kernel, grid: Grid, kappa: np.ndarray) -> tuple:
@@ -541,12 +660,27 @@ def near_field(kernel: Kernel, grid: Grid, kappa: np.ndarray) -> tuple:
     return near, near_cols, depths
 
 
-def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> DiscreteOperator:
+def shares_table(kernel: Kernel, other: Kernel) -> bool:
+    """Whether two kernels have one offset table, symbol and set of near
+    constants: both unmodulated, with the very same profile object."""
+    return (kernel.modulation is None and other.modulation is None
+            and kernel.profile is other.profile)
+
+
+def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None,
+             shared: BoxKernel | None = None) -> DiscreteOperator:
     """Assemble the discrete operator for the kernel on the masked cells.
 
     The modulation must be None, a RoughCosine or a SeparableCosine (what
     make_modulation returns); any other callable raises ValueError, since
     the near field is built from the modulation's structure.
+
+    shared is another operator's box_kernel.  On a grid of the same
+    geometry its table, symbol and near constants are taken as they are
+    when shares_table(kernel, shared.kernel), and its tail densities at
+    the orbit representatives both masks have whenever the two profiles
+    are one object; the rest is built here, so the operator equals a
+    standalone assembly bit for bit.
     """
     if kernel.dimension != grid.dimension:
         raise ValueError("kernel dimension does not match the grid")
@@ -565,20 +699,19 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> Discr
     dim, n, vol, m = grid.dimension, grid.n, grid.cell_volume, grid.masked_count
     mod = kernel.modulation
     separable = isinstance(mod, SeparableCosine)
-    pairs = far_offset_table(kernel, grid) * vol ** 2
+    if shared is not None and not shared.fits(grid):
+        shared = None
+    share_table = shared is not None and shares_table(kernel, shared.kernel)
+    if share_table:
+        pairs, symbol, depths = shared.pairs, shared.symbol, dict(shared.depths)
+    else:
+        pairs = far_offset_table(kernel, grid) * vol ** 2
     t_far = time.perf_counter()
-    depths = {}
-    if not separable:
-        # one near constant per lex-positive offset that fits in the table,
-        # written at +delta and -delta; the source cell is immaterial
-        table = pairs.reshape((2 * n - 1,) * dim)
-        for delta in near_offsets(dim):
-            if lex_positive(delta) and max(map(abs, delta)) < n:
-                wvals, depths[str(delta)] = refined_pair_weights(
-                    kernel, grid.centers, np.zeros(1, dtype=np.int64), delta, grid.h)
-                d = np.asarray(delta)
-                table[tuple(n - 1 + d)] = table[tuple(n - 1 - d)] = wvals[0]
-    symbol = circulant_symbol(pairs, n, dim)
+    if not share_table:
+        depths = {} if separable else near_constants(kernel, grid, pairs)
+        symbol = circulant_symbol(pairs, n, dim)
+        # read-only from here on, so that another operator may share them
+        pairs.flags.writeable = symbol.flags.writeable = False
     product = OffsetProduct(symbol, grid)
     # killing toward the unmasked box cells: FFT products with their
     # indicator, clipped since rounding may take a zero sum below zero
@@ -600,7 +733,12 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> Discr
     t_near = time.perf_counter()
 
     # analytic tail beyond the box, bracketed by the modulation band
-    tail = vol * box_tail_density(kernel, grid)
+    reps, inverse = tail_orbits(grid)
+    if shared is not None and shared.kernel.profile is kernel.profile:
+        dens = shared.tail_at(kernel, grid, reps)
+    else:
+        dens = box_tail_density(kernel, grid, reps)
+    tail = vol * dens[inverse]
     t_tail = time.perf_counter()
     tail_lo = tail
     tail_hi = kernel.Lambda * tail
@@ -632,14 +770,18 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None) -> Discr
         "kappa_inbox_median": kappa_inbox_median,
         "box_margin_ok": bool(margin_ok),
         "matvec": "fft",
+        "shared_kernel": share_table,
         "far_seconds": t_far - t0,
         "near_seconds": t_near - t_far,
         "tail_seconds": t_tail - t_near,
         "assembly_seconds": time.perf_counter() - t0,
     }
+    box = BoxKernel(kernel=kernel, dimension=dim, n=n, half_width=grid.half_width,
+                    pairs=pairs, symbol=symbol, depths=depths, tail_reps=reps,
+                    tail_dens=dens)
     return DiscreteOperator(grid=grid, volumes=np.full(m, vol), pairs=pairs,
                             kappa=kappa, cdiag=cvals * vol,
                             tail_interval=np.stack([tail_lo, tail_hi], axis=1),
                             diagnostics=diag, symbol=symbol,
                             amp=mod.amp if separable else 0.0, g=g, near=near,
-                            near_cols=near_cols)
+                            near_cols=near_cols, box_kernel=box)

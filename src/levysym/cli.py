@@ -21,10 +21,11 @@ import warnings
 import numpy as np
 
 from levysym.assembly import (ROW_BLOCK, AssemblyError, assemble, masked_vector,
-                              near_offsets, tail_block_floats)
+                              near_offsets, shares_table, tail_block_floats)
 from levysym.env import thread_setting
 from levysym.kernels import (IntegrabilityError, Kernel, KernelDomainError,
-                             RadialProfile, make_modulation, rearrange_profile)
+                             RadialProfile, SeparableCosine, make_modulation,
+                             rearrange_profile)
 # concentration_curve is not called here; the benchmark tracer wraps it
 from levysym.rearrange import (Grid, GridFunction, concentration_curve,
                                read_gridfunction_csv, schwarz_rearrangement,
@@ -498,6 +499,12 @@ def scenario_kernel(cfg):
                   modulation=modulation, modulation_tag=spec["modulation"])
 
 
+def envelope_kernel(kernel):
+    """The symmetrized problem's kernel: the rearranged profile, no
+    modulation."""
+    return Kernel(profile=rearrange_profile(kernel.profile))
+
+
 def data_function(spec, cfg, grid):
     """Grid function for a c/f/initial spec; zero when spec is None."""
     if spec is None:
@@ -586,7 +593,7 @@ def run_phases(cfg, mode, log):
     grid = scenario_grid(cfg)
     kernel = scenario_kernel(cfg)
     ball = grid.ball_grid
-    envelope = Kernel(profile=rearrange_profile(kernel.profile))
+    envelope = envelope_kernel(kernel)
 
     c_fn = data_function(cfg.c, cfg, grid)
     c_vec = c_fn.masked_values if cfg.c is not None else None
@@ -598,7 +605,8 @@ def run_phases(cfg, mode, log):
     log.phase = "assembly"
     t_asm = time.perf_counter()
     op_u = assemble(kernel, grid, c=c_vec)
-    op_v = assemble(envelope, ball, c=c_sharp)
+    # the envelope shares op_u's table, symbol and tail where the kernels allow
+    op_v = assemble(envelope, ball, c=c_sharp, shared=op_u.box_kernel)
     assembly_seconds = time.perf_counter() - t_asm
 
     diagnostics = {
@@ -625,6 +633,8 @@ def run_phases(cfg, mode, log):
             "residual_history_u": u_sol.residual_history,
             "residual_history_v": v_sol.residual_history,
             "cg_iters": u_sol.iterations + v_sol.iterations,
+            "preconditioner_u": u_sol.preconditioner,
+            "preconditioner_v": v_sol.preconditioner,
         }
     else:
         timegrid = TimeGrid(cfg.time["horizon"], cfg.time["steps"])
@@ -642,6 +652,8 @@ def run_phases(cfg, mode, log):
             "residual_u": max(traj_u.residuals), "residual_v": max(traj_v.residuals),
             "residuals_u": traj_u.residuals, "residuals_v": traj_v.residuals,
             "cg_iters": sum(traj_u.iterations) + sum(traj_v.iterations),
+            "preconditioner_u": traj_u.preconditioner,
+            "preconditioner_v": traj_v.preconditioner,
         }
     diagnostics["solver"]["seconds"] = time.perf_counter() - t_solve
 
@@ -713,35 +725,41 @@ def estimate_bytes(cfg):
     what the run keeps from assembly on, plus the largest of its phases'
     temporaries, not every phase added together.
 
-    Kept: both operators' offset tables and symbols (about three (2n)^N
-    box arrays), 20 vectors of m (the operators' diagonals, volumes, tail
-    intervals and cell lists, the solutions), 24 of cell_count (both grids'
-    cached index, coordinate and order arrays, the run's grid functions),
-    with separable_cosine the near band's two (K, m) arrays and g, and a
-    fixed 160 KiB of Python objects, most of it the record buffer a
-    csv.writer grows.  Phases: one FFT product's box temporaries; in 2-D
-    the exterior tail's block (assembly.tail_block_floats); the coarea
-    walk's b x b blocks (b = cut_block, at most m) when coarea is
-    requested; the separable band's gather block; and in a parabolic run
-    the states both trajectories keep (2 steps m), the masked per-step
-    loads of f and f# when f has a time factor (2 steps m more), one FFT
-    product, 2 KiB of reports and residuals per step and the parabolic
-    check's window arrays (about six stacked arrays of the u# and v rows
-    of gap_window steps).  The
-    counts are calibrated against the tracemalloc peak of a warm run.  The
-    interpreter and its modules are not counted (see the README's
+    Kept: the operators' offset tables and symbols (about 1.5 (2n)^N box
+    arrays each), one pair when the two share them (assembly.shares_table
+    of the kernel and its envelope), 20 vectors of m (the operators'
+    diagonals, volumes, tail intervals and cell lists, the solutions), 24
+    of cell_count (both grids' cached index, coordinate and order arrays,
+    the run's grid functions), with separable_cosine the near band's two
+    (K, m) arrays and g, and a fixed 160 KiB of Python objects, most of it
+    the record buffer a csv.writer grows.  Phases: one FFT product's box
+    temporaries, with the circulant preconditioner's symbol during an
+    elliptic solve; in 2-D the exterior tail's block
+    (assembly.tail_block_floats); the coarea walk's b x b blocks
+    (b = cut_block, at most m) when coarea is requested; the separable
+    band's gather block; and in a parabolic run the states both
+    trajectories keep (2 steps m), the masked per-step loads of f and f#
+    when f has a time factor (2 steps m more), one FFT product, 2 KiB of
+    reports and residuals per step and the parabolic check's window arrays
+    (about six stacked arrays of the u# and v rows of gap_window steps).
+    The counts are calibrated against the tracemalloc peak of a warm run.
+    The interpreter and its modules are not counted (see the README's
     memory_cap_gb); a first run also traces the modules it imports,
-    numpy.fft (about 0.2 MiB) and, for the exponential and logarithmic
-    kinds, scipy.special (about 10 MiB)."""
+    numpy.fft (about 0.2 MiB) and, for the exponential kind, scipy.special
+    (about 10 MiB)."""
     grid = scenario_grid(cfg)
     m, dim, n = grid.masked_count, grid.dimension, grid.n
     box = (2 * n) ** dim
     table = (2 * n - 1) ** dim
     symbol = (2 * n) ** (dim - 1) * (n + 1)
-    kept = 2 * (table + symbol) + 20 * m + 24 * grid.cell_count + 160 * 1024 // 8
+    kernel = scenario_kernel(cfg)
+    separable = isinstance(kernel.modulation, SeparableCosine)
+    tables = 1 if shares_table(kernel, envelope_kernel(kernel)) else 2
+    kept = tables * (table + symbol) + 20 * m + 24 * grid.cell_count + 160 * 1024 // 8
     # an FFT product: the zero box, its transform, the product, the inverse
-    # and its intermediate, and the gathered result
-    phases = [6 * box]
+    # and its intermediate, and the gathered result; a system without a
+    # near band is solved with the circulant, which keeps one more symbol
+    phases = [6 * box + (0 if separable else symbol)]
     if dim == 2:
         # box_tail_density's block, of at most m orbit representatives
         phases.append(tail_block_floats(m))
@@ -750,7 +768,7 @@ def estimate_bytes(cfg):
         # (|u_i - u_j|, the lower triangle, the modulated term)
         b = min(m, cut_block(grid))
         phases.append(3 * b * b)
-    if cfg.kernel["modulation"] == "separable_cosine":
+    if separable:
         band = len(near_offsets(dim)) * m
         kept += 2 * band + m
         phases.append(min(band, ROW_BLOCK))

@@ -7,8 +7,9 @@ which the assembly and verification layers rely on.  Each kind has one
 vectorised radial primitive, :func:`radial_primitive`, which every radial
 integral reads: closed forms, and a fixed Gauss rule in log r for the
 logarithmic kind.  scipy is imported inside the functions that need it (the
-incomplete gamma of the exponential kind and of the logarithmic kind's far
-tail, and exp_weight_mass), so the other kinds load numpy only.
+incomplete gamma of the exponential kind, and exp_weight_mass), so the other
+kinds load numpy only: the logarithmic kind's far tail is a continued
+fraction, gamma_tail.
 """
 
 from __future__ import annotations
@@ -250,10 +251,11 @@ def log_primitive(eps: float, c: float, gamma: float) -> Callable[[np.ndarray], 
     e^(c x) in x = log r: 16-point Gauss-Legendre on the unit panels between
     fixed integer knots, about 12.6^-32 per panel as g is analytic for
     |Im x| < pi.  Past -40 (and 40 when c < 0) F is closed, e^((eps + c) x)
-    / (eps + c) and Gamma(eps + 1, -c x) / (-c)^(eps + 1).  A point adds
-    terms of one sign from the convergent end, infinity when c < 0 and else
-    0 (the panels then run past the largest float): F at its panel's knot
-    on that side plus the Gauss rule, one node at a time, over the rest.
+    / (eps + c) and Gamma(eps + 1, -c x) / (-c)^(eps + 1) (gamma_tail).  A
+    point adds terms of one sign from the convergent end, infinity when
+    c < 0 and else 0 (the panels then run past the largest float): F at its
+    panel's knot on that side plus the Gauss rule, one node at a time, over
+    the rest.
     """
     head_c, down = eps + c, c < 0.0
     hi = 40.0 if down else 710.0
@@ -270,13 +272,8 @@ def log_primitive(eps: float, c: float, gamma: float) -> Callable[[np.ndarray], 
 
     panels = g(np.arange(-40.0, hi)[:, None] + t) @ w
     if down:
-        from scipy import special
-
-        def upper(x):
-            return (math.gamma(eps + 1.0) * special.gammaincc(eps + 1.0, -c * x)
-                    / (-c) ** (eps + 1.0))
-
-        f_knots = np.cumsum(np.concatenate(([upper(hi)], panels[::-1])))[::-1]
+        f_knots = np.cumsum(np.concatenate((gamma_tail(eps + 1.0, c, [hi]),
+                                            panels[::-1])))[::-1]
     else:
         f_knots = -np.cumsum(np.concatenate(([math.exp(-40.0 * head_c) / head_c], panels)))
 
@@ -298,10 +295,45 @@ def log_primitive(eps: float, c: float, gamma: float) -> Callable[[np.ndarray], 
                           * (np.expm1(head_c * d) / head_c if head_c else d)
                           if down else f_knots[0] * np.exp(head_c * d))
         if down and x_above.size:
-            out[above] = upper(x_above)
+            out[above] = gamma_tail(eps + 1.0, c, x_above)
         return gamma * out.reshape(r.shape)
 
     return primitive
+
+
+def gamma_tail(a: float, c: float, x) -> np.ndarray:
+    """Gamma(a, z) / (-c)^a at z = -c x for c < 0: e^(c x) x^a / (z + 1 - a
+    - 1 (1 - a) / (z + 3 - a - 2 (2 - a) / (z + 5 - a - ...))), Legendre's
+    continued fraction by the modified Lentz method.  It converges in a few
+    terms for z well above a, as at log_primitive's z >= 40 |c|.  Each
+    entry stops at its own convergence, so its value does not depend on
+    the other entries; ArithmeticError if one has not converged after
+    10,000 terms."""
+    x = np.asarray(x, dtype=float)
+    # Gamma(a, z) is 0 at z = infinity
+    out = np.zeros(x.shape)
+    live = np.isfinite(x)
+    x = x[live]
+    tiny = 1e-300
+    b = -c * x + (1.0 - a)
+    d = 1.0 / np.where(np.abs(b) < tiny, tiny, b)
+    e = np.full_like(d, 1.0 / tiny)
+    frac = d.copy()
+    done = np.zeros(d.shape, dtype=bool)
+    for i in range(1, 10_000):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / np.where(np.abs(d) < tiny, tiny, d)
+        e = b + an / e
+        e = np.where(np.abs(e) < tiny, tiny, e)
+        factor = d * e
+        frac *= np.where(done, 1.0, factor)
+        done |= np.abs(factor - 1.0) <= np.finfo(float).eps
+        if done.all():
+            out[live] = np.exp(c * x) * x ** a * frac
+            return out
+    raise ArithmeticError("the incomplete-gamma continued fraction did not converge")
 
 
 def ray_integral(profile: RadialProfile, a: float, b: float, moment: float) -> float:

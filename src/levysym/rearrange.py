@@ -10,6 +10,7 @@ the discrete level instead of approximate.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -363,20 +364,38 @@ def convex_mean_comparison(u: GridFunction, v: GridFunction,
 
 
 def write_gridfunction_csv(f: GridFunction, path) -> None:
-    """One row per cell: integer indices, center coordinates, value, masked."""
+    """One row per cell: integer indices, center coordinates, value, masked.
+
+    Byte for byte what csv.writer writes with "{:.17g}" floats: no field
+    needs quoting and rows end in CR LF.  Each axis value's index and
+    center are formatted once (a center is (i + 1/2) h - L per axis, as in
+    Grid.centers), and a value only when it is not +0.0, which prints "0".
+    Rows are joined and written n at a time, one block per index of the
+    leading axes.
+    """
     grid = f.grid
-    dim = grid.dimension
+    dim, n = grid.dimension, grid.n
     index_names = ["i", "j", "k", "l"][:dim] if dim <= 4 else [f"i{k}" for k in range(dim)]
     coord_names = ["x", "y", "z", "w"][:dim] if dim <= 4 else [f"x{k}" for k in range(dim)]
-    # byte for byte what csv.writer writes: no field needs quoting and
-    # rows end in \r\n
-    row = ",".join(["{}"] * dim + ["{:.17g}"] * (dim + 1) + ["{:d}"]) + "\r\n"
-    columns = ([grid.index_array[:, k].tolist() for k in range(dim)]
-               + [grid.centers[:, k].tolist() for k in range(dim)]
-               + [f.values.tolist(), grid.mask_flat.tolist()])
+    index_text = [str(i) for i in range(n)]
+    center_text = list(map("{:.17g}".format,
+                           ((np.arange(n) + 0.5) * grid.h - grid.half_width).tolist()))
+    values = f.values
+    value_text = ["0"] * values.size
+    signed = np.flatnonzero((values != 0) | np.signbit(values))
+    for k, text in zip(signed.tolist(), map("{:.17g}".format, values[signed].tolist())):
+        value_text[k] = text
+    flags = ("0", "1")
+    last = list(zip(index_text, center_text))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(index_names + coord_names + ["value", "masked"]) + "\r\n")
-        fh.writelines(row.format(*rec) for rec in zip(*columns))
+        for lo, head in zip(range(0, values.size, n),
+                            itertools.product(range(n), repeat=dim - 1)):
+            index = "".join(index_text[i] + "," for i in head)
+            center = "".join(center_text[i] + "," for i in head)
+            fh.write("".join([f"{index}{i},{center}{x},{v},{flags[m]}\r\n"
+                              for (i, x), v, m in zip(last, value_text[lo:lo + n],
+                                                      grid.mask_flat[lo:lo + n].tolist())]))
 
 
 def read_gridfunction_csv(path) -> GridFunction:

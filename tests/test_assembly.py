@@ -20,6 +20,7 @@ from levysym.kernels import (
     eval_kernel,
     make_modulation,
     radial_primitive,
+    rearrange_profile,
 )
 from levysym.env import thread_setting
 from levysym.rearrange import Grid, GridFunction
@@ -269,6 +270,94 @@ class TestOffsetTable:
         phases = [d[key] for key in ("far_seconds", "near_seconds", "tail_seconds")]
         assert all(t >= 0 for t in phases)
         assert sum(phases) <= d["assembly_seconds"]
+
+
+SECONDS = {"far_seconds", "near_seconds", "tail_seconds", "assembly_seconds"}
+
+
+class TestSharedKernel:
+    """The symmetrized operator assembled with the original's box_kernel
+    against a standalone assembly of it: bit for bit the same operator."""
+
+    PROFILES = {
+        "power": lambda dim: RadialProfile.power(0.4, dimension=dim),
+        "sum_of_powers": lambda dim: RadialProfile.sum_of_powers([0.2, 0.7], dimension=dim),
+        "exponential": lambda dim: RadialProfile.exponential(1.5, dimension=dim),
+        "logarithmic": lambda dim: RadialProfile.logarithmic(1.0, dimension=dim),
+    }
+
+    @staticmethod
+    def assemble_pair(kernel, grid):
+        """(op_u, shared op_v, standalone op_v), op_v for the envelope on
+        the ball with c = 0.5."""
+        envelope = Kernel(profile=rearrange_profile(kernel.profile))
+        ball = grid.ball_grid
+        c = GridFunction.constant(ball, 0.5)
+        op_u = assemble(kernel, grid)
+        return (op_u, assemble(envelope, ball, c, shared=op_u.box_kernel),
+                assemble(envelope, ball, c))
+
+    @staticmethod
+    def assert_same(got, want):
+        for name in ("pairs", "symbol", "kappa", "tail_interval", "cdiag", "near",
+                     "near_cols"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None and b is None) or np.array_equal(a, b), name
+        skip = SECONDS | {"shared_kernel"}
+        assert ({k: v for k, v in got.diagnostics.items() if k not in skip}
+                == {k: v for k, v in want.diagnostics.items() if k not in skip})
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kind", sorted(PROFILES))
+    def test_shared_equals_standalone(self, dim, kind, monkeypatch):
+        kernel = Kernel(profile=self.PROFILES[kind](dim))
+        tail_cells = []
+        density = assembly.box_tail_density
+
+        def counted(kernel, grid, reps=None):
+            tail_cells.append(reps.size)
+            return density(kernel, grid, reps)
+
+        monkeypatch.setattr(assembly, "box_tail_density", counted)
+        op_u, shared, alone = self.assemble_pair(kernel, two_piece_grid(dim))
+        assert shared.pairs is op_u.pairs and shared.symbol is op_u.symbol
+        assert not (shared.pairs.flags.writeable or shared.symbol.flags.writeable)
+        assert shared.diagnostics["shared_kernel"]
+        assert not (op_u.diagnostics["shared_kernel"] or alone.diagnostics["shared_kernel"])
+        assert (shared.diagnostics["near_refinement_depths"]
+                == op_u.diagnostics["near_refinement_depths"])
+        assert all(shared.diagnostics[key] >= 0 for key in SECONDS)
+        self.assert_same(shared, alone)
+        # the shared assembly computes the tail only at the representatives
+        # op_u lacks, which a 2-D ball has at its center
+        reps_u, reps_v = assembly.tail_orbits(op_u.grid)[0], assembly.tail_orbits(shared.grid)[0]
+        missing = np.setdiff1d(reps_v, reps_u).size
+        assert tail_cells == [reps_u.size, missing, reps_v.size]
+        assert missing > 0 or dim == 1
+
+    @pytest.mark.filterwarnings("ignore:box margin too small")
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("tag", ["table", "rough_cosine", "separable_cosine"])
+    def test_own_table(self, dim, tag):
+        # a tabulated profile is rearranged into a new object, and a
+        # modulated original has another table: the envelope builds its own
+        if tag == "table":
+            kernel = Kernel(profile=RadialProfile.tabulated(
+                [0.2, 0.5, 1.3, 2.5], [2.0, 4.0, 1.0, 0.5], dimension=dim))
+        else:
+            kernel = modulated_kernel(tag, dim)
+        op_u, shared, alone = self.assemble_pair(kernel, two_piece_grid(dim))
+        assert shared.pairs is not op_u.pairs
+        assert not shared.diagnostics["shared_kernel"]
+        self.assert_same(shared, alone)
+
+    def test_other_geometry_not_shared(self):
+        kernel = frac_kernel(0.4, dim=2)
+        coarse = assemble(kernel, Grid.full_box(2, 1.0, 8))
+        g = two_piece_grid(2)
+        op = assemble(kernel, g, shared=coarse.box_kernel)
+        assert not op.diagnostics["shared_kernel"]
+        self.assert_same(op, assemble(kernel, g))
 
 
 def fourier_cases():

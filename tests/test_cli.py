@@ -424,6 +424,28 @@ class TestRunScenario:
         assert diag["memory"]["estimate_bytes"] == estimate_bytes(cfg)
         assert diag["memory"]["peak_rss_mb"] > 0.0
 
+    @pytest.mark.filterwarnings("ignore:box margin too small")
+    @pytest.mark.parametrize("kernel,mode,want", [
+        ({"kind": "fractional", "s": 0.5}, "elliptic", ("circulant", "circulant", True)),
+        ({"kind": "logarithmic", "eps": 1.0}, "parabolic", ("jacobi", "jacobi", True)),
+        ({"kind": "fractional", "s": 0.5, "Lambda": 2.0,
+          "modulation": "separable_cosine"}, "elliptic", ("jacobi", "circulant", False))])
+    def test_diagnostics_record_preconditioners_and_shared_kernel(
+            self, tmp_path, kernel, mode, want):
+        time_block = {"horizon": 1.0, "steps": 3} if mode == "parabolic" else None
+        cfg = parse_config(write_config(tmp_path, kernel=kernel, time=time_block))
+        run_scenario(cfg, mode)
+        diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        assert (diag["solver"]["preconditioner_u"], diag["solver"]["preconditioner_v"],
+                diag["assembly"]["symmetrized"]["shared_kernel"]) == want
+        original, symmetrized = diag["assembly"]["original"], diag["assembly"]["symmetrized"]
+        assert original["shared_kernel"] is False
+        if want[2]:
+            # a shared table carries the original's near depths, and the
+            # symmetrized operator reports its own seconds
+            assert symmetrized["near_refinement_depths"] == original["near_refinement_depths"]
+            assert 0.0 <= symmetrized["assembly_seconds"]
+
     def test_parabolic_mode_requires_time_block(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
         with pytest.raises(ScenarioError):

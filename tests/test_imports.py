@@ -267,6 +267,14 @@ def test_logarithmic_run_loads_no_quadrature(tmp_path):
     assert "scipy.integrate" not in out["scipy"]
 
 
+def test_logarithmic_run_loads_no_scipy_special(tmp_path):
+    # the far tail's incomplete gamma is kernels.gamma_tail, a continued
+    # fraction in numpy, so a first logarithmic run traces no scipy.special
+    out = run_child(tmp_path, [(LOGARITHMIC, "elliptic")])
+    assert out["codes"] == [0]
+    assert "scipy.special" not in out["scipy"]
+
+
 def test_thread_setting_reaches_a_late_scipy(tmp_path):
     """LEVYSYM_THREADS sets the BLAS pool variables when levysym is
     imported, so a scipy that loads later, mid-run, sees them too."""

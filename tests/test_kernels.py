@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from levysym import kernels
 from levysym.kernels import (
@@ -336,6 +336,57 @@ class TestRayIntegral:
         # dimension-1 fractional profile against a planar moment weight
         with pytest.raises(IntegrabilityError):
             radial_primitive(RadialProfile.power(0.5, dimension=1), 1.0, tail=True)
+
+
+class TestGammaTail:
+    """kernels.gamma_tail, Gamma(a, -c x) / (-c)^a, which the logarithmic
+    primitive takes at its knot x = 40 and beyond, with a = eps + 1 and
+    c = moment - dimension - 1 (-2 for the tail moment dimension - 1)."""
+
+    EPS = np.linspace(0.05, 4.0, 80)
+
+    @staticmethod
+    def scipy_value(a, c, x):
+        return math.gamma(a) * special.gammaincc(a, -c * x) / (-c) ** a
+
+    @pytest.mark.parametrize("c", [-2.0, -3.0])
+    def test_matches_scipy(self, c):
+        # at and just past the knot; scipy's gammaincc is itself off by up
+        # to 1.35e-14 at x = 40 against 40-digit values, and by more
+        # further out (test_matches_mpmath checks there), so the bound is
+        # 2e-14
+        x = np.array([40.0, 40.5, 42.0])
+        for eps in self.EPS:
+            got = kernels.gamma_tail(eps + 1.0, c, x)
+            want = self.scipy_value(eps + 1.0, c, x)
+            np.testing.assert_allclose(got, want, rtol=2e-14, atol=0.0)
+
+    @pytest.mark.parametrize("c", [-2.0, -3.0, -0.5])
+    def test_matches_mpmath(self, c):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for eps in self.EPS[::8]:
+                a = eps + 1.0
+                x = np.array([40.0, 41.3, 100.0, 300.0])
+                want = [float(mpmath.gammainc(a, -c * v) / mpmath.mpf(-c) ** a) for v in x]
+                np.testing.assert_allclose(kernels.gamma_tail(a, c, x), want,
+                                           rtol=1e-15, atol=0.0)
+
+    def test_entries_independent_and_infinity(self):
+        x = np.array([40.0, 55.5, 700.0, math.inf, 41.0])
+        got = kernels.gamma_tail(3.5, -2.0, x)
+        assert got[3] == 0.0 and got[2] == 0.0
+        for k, v in enumerate(x):
+            assert got[k] == kernels.gamma_tail(3.5, -2.0, [v])[0]
+
+    def test_primitive_knot_matches_scipy(self):
+        # the tail primitive far out, where only the knot value enters
+        for eps in (0.3, 1.0, 2.5, 4.0):
+            prim = radial_primitive(RadialProfile.logarithmic(eps, dimension=2), 1.0,
+                                    tail=True)
+            r = math.exp(45.0)
+            want = self.scipy_value(eps + 1.0, -2.0, 45.0)
+            assert float(prim(r)) == pytest.approx(want, rel=2e-14)
 
 
 class TestLevyIntegral:

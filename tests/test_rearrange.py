@@ -472,6 +472,34 @@ class TestCsvRoundTrip:
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_bytes_match_with_signed_zeros(self, tmp_path, dim):
+        # only values that are nonzero or carry a sign bit are formatted:
+        # +0.0 prints "0" and -0.0 "-0", in and outside the mask
+        n = 40 if dim == 1 else 10
+        g = Grid(dim, 1.25, n, np.random.default_rng(6).random((n,) * dim) < 0.5)
+        values = masked_function(g, seed=22, low=-1.0, high=1.0).values.copy()
+        inside, outside = g.masked_indices, np.flatnonzero(~g.mask_flat)
+        values[inside[:4]] = [0.0, -0.0, 5e-324, -2.5]
+        values[outside[:2]] = -0.0
+        f = GridFunction(g, values)
+        write_gridfunction_csv(f, tmp_path / "fast.csv")
+        per_cell_writer(f, tmp_path / "ref.csv")
+        text = (tmp_path / "fast.csv").read_bytes()
+        assert text == (tmp_path / "ref.csv").read_bytes()
+        assert b",-0,0\r\n" in text and b",-0,1\r\n" in text
+
+    @pytest.mark.parametrize("dim,n,half_width", [
+        (1, 1024, 1.0), (1, 37, 1.5), (2, 64, 1.0), (2, 12, 0.7), (2, 512, 2.5)])
+    def test_centers_are_axis_values(self, dim, n, half_width):
+        # write_gridfunction_csv formats (i + 1/2) h - L once per axis value
+        # in place of each cell's centers
+        g = Grid.full_box(dim, half_width, n)
+        axis = (np.arange(n) + 0.5) * g.h - half_width
+        for k in range(dim):
+            assert np.array_equal(g.centers[:, k], axis[g.index_array[:, k]])
+
+
 def per_cell_writer(f, path):
     """Reference grid CSV: one csv.writer row per cell, fields formatted one
     at a time."""

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from levysym.assembly import assemble, build_rhs, energy
+from levysym.assembly import OperatorSystem, assemble, build_rhs, energy
 from levysym.kernels import Kernel, RadialProfile, make_modulation
 from levysym.rearrange import (Grid, GridFunction, read_gridfunction_csv,
                                schwarz_rearrangement)
@@ -172,12 +172,14 @@ def test_pcg_zero_rhs_with_guess_returns_zeros():
 
 def reference_pcg(A, b, tol, max_iter, x0=None):
     """The pcg loop with fresh arrays for every update and np.linalg.norm,
-    as a reference for pcg's in-place updates."""
+    as a reference for pcg's in-place updates, with A's preconditioner
+    (Jacobi when A has none)."""
     big = float(np.max(np.abs(b)))
     _, shift = np.frexp(big)
     b = np.ldexp(b, -shift)
     norm_b = float(np.linalg.norm(b))
     d = A.diagonal()
+    precondition = getattr(A, "precondition", None) or (lambda r: r / d)
     if x0 is None:
         x = np.zeros_like(b)
         r = b.copy()
@@ -187,7 +189,7 @@ def reference_pcg(A, b, tol, max_iter, x0=None):
         rel = float(np.linalg.norm(r)) / norm_b
         if rel <= tol:
             return np.array(x0, dtype=np.float64), 0, rel, ()
-    z = r / d
+    z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
     history = []
@@ -200,7 +202,7 @@ def reference_pcg(A, b, tol, max_iter, x0=None):
         history.append(rel)
         if rel <= tol:
             return np.ldexp(x, shift), it, rel, tuple(history)
-        z = r / d
+        z = precondition(r)
         rz_next = float(r @ z)
         p = z + (rz_next / rz) * p
         rz = rz_next
@@ -214,9 +216,12 @@ def same_solve(got, want):
 
 
 def test_pcg_bitwise_reference_table_system(split_domain_op):
+    # a zero mass shift keeps the Jacobi path, which the circulant (7
+    # iterations here) would leave (see test_pcg_bitwise_reference_circulant)
     grid, op = split_domain_op
     b = build_rhs(op, GridFunction.from_callable(grid, lambda x: 1.0 + x * x))
-    system = op.system()
+    system = op.system(np.zeros(op.size))
+    assert system.preconditioner == "jacobi"
     got = pcg(system, b, 1e-10, 500)
     assert got[1] > 10
     same_solve(got, reference_pcg(system, b, 1e-10, 500))
@@ -231,6 +236,64 @@ def test_pcg_bitwise_reference_with_guess(split_domain_op):
     got = pcg(system, b, 1e-12, 500, x0=x0)
     assert got[1] > 0
     same_solve(got, reference_pcg(system, b, 1e-12, 500, x0=x0))
+
+
+BOXES = [[[-1.0, -0.1], [-1.0, 1.0]], [[0.1, 1.0], [-0.5, 0.5]]]
+
+
+def boxes_grid(n):
+    """The two boxes of the elliptic benchmark geometry at resolution n."""
+    c = box_grid(n, dim=2).centers
+    mask = np.zeros(c.shape[0], dtype=bool)
+    for (ax, bx), (ay, by) in BOXES:
+        mask |= (c[:, 0] > ax) & (c[:, 0] < bx) & (c[:, 1] > ay) & (c[:, 1] < by)
+    return box_grid(n, dim=2, mask=mask.reshape(n, n))
+
+
+def test_pcg_bitwise_reference_circulant():
+    grid = boxes_grid(32)
+    c = GridFunction.from_callable(grid, lambda x, y: 10.0 * (x * x + y * y))
+    op = assemble(power_kernel(0.5, dim=2), grid, c)
+    b = build_rhs(op, GridFunction.from_callable(grid, lambda x, y: 1.0 + x * y))
+    system = op.system()
+    assert system.preconditioner == "circulant"
+    got = pcg(system, b, 1e-10, 500)
+    assert got[1] > 10
+    same_solve(got, reference_pcg(system, b, 1e-10, 500))
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_circulant_iterations_stay_flat(n):
+    # Jacobi took 45/43 iterations at n = 64 and 64/57 at n = 128
+    grid = boxes_grid(n)
+    kernel = power_kernel(0.5, dim=2)
+    op_u = assemble(kernel, grid)
+    op_v = assemble(kernel, grid.ball_grid, shared=op_u.box_kernel)
+    for op in (op_u, op_v):
+        sol = solve_elliptic(op, GridFunction.constant(op.grid, 1.0))
+        assert sol.preconditioner == "circulant"
+        assert sol.iterations <= 25
+
+
+def test_preconditioner_rule():
+    grid = boxes_grid(16)
+    op = assemble(power_kernel(0.5, dim=2), grid)
+    assert op.system().preconditioner == "circulant"
+    # a mass shift, as in every implicit-Euler step, keeps Jacobi
+    assert op.system(op.volumes / 0.01).preconditioner == "jacobi"
+    traj = parabolic_solve(op, np.ones(op.size), np.zeros(op.size), TimeGrid(1.0, 2))
+    assert traj.preconditioner == "jacobi"
+    # so do a near band and a median diagonal below the symbol's peak
+    separable = Kernel(profile=RadialProfile.power(0.5, dimension=2), Lambda=2.0,
+                       modulation=make_modulation("separable_cosine", 2.0, 2),
+                       modulation_tag="separable_cosine")
+    with pytest.warns(UserWarning, match="box margin"):
+        banded = assemble(separable, grid)
+    assert banded.system().preconditioner == "jacobi"
+    sol = solve_elliptic(banded, GridFunction.constant(grid, 1.0))
+    assert sol.preconditioner == "jacobi"
+    low = OperatorSystem(op, np.full(op.size, 0.5 * op.symbol.max()))
+    assert low.precondition is None and low.preconditioner == "jacobi"
 
 
 def test_pcg_bitwise_reference_dense():
@@ -732,6 +795,21 @@ def test_parabolic_fft_march_matches_dense_march(index):
         assert np.max(np.abs(traj.states[n] - u)) <= 1e-12 * np.max(np.abs(u))
 
 
+class DenseSystem:
+    """A dense matrix with the preconditioner of an operator's system, so
+    that pcg runs the same loop through dense products."""
+
+    def __init__(self, matrix, system):
+        self.matrix, self.shape = matrix, matrix.shape
+        self.precondition = system.precondition
+
+    def diagonal(self):
+        return self.matrix.diagonal()
+
+    def __matmul__(self, x):
+        return self.matrix @ x
+
+
 @pytest.mark.parametrize("index", [0, 1, 2])
 def test_elliptic_fft_solve_skips_dense_matrix(index):
     op = two_piece_ops()[index]
@@ -739,7 +817,9 @@ def test_elliptic_fft_solve_skips_dense_matrix(index):
     sol = solve_elliptic(op, f)
     assert "matrix" not in vars(op)
     assert "weight_matrix" not in vars(op)
-    x, it, _, _ = pcg(op.matrix, build_rhs(op, f), 1e-10, 10_000)
+    assert sol.preconditioner == ("jacobi" if index == 2 else "circulant")
+    dense = DenseSystem(op.matrix, op.system())
+    x, it, _, _ = pcg(dense, build_rhs(op, f), 1e-10, 10_000)
     assert sol.iterations == it
     assert np.max(np.abs(sol.vector - x)) <= 1e-12 * np.max(np.abs(x))
 
