@@ -49,21 +49,15 @@ rays.  A block holds ROW_BLOCK / 8 rays (16 representatives), so the
 about seven arrays it has live at once fit in one row block; a
 representative's density is the mean of its own row, whatever the block.
 
-What does not depend on the mask is a BoxKernel, which every operator
-keeps as box_kernel: the table with its near constants and their depths,
-the symbol, and the tail density at the representatives of its mask.
-assemble(kernel, grid, c, shared=other.box_kernel) takes the table,
-symbol and near constants as they are when both kernels are unmodulated
-with one profile object (shares_table: an analytic profile and its
-rearrangement, which rearrange_profile returns as is), and the tail at
-the representatives both masks have whenever the profiles are one
-object, since the tail reads the profile alone; it computes the tail at
-the other representatives and builds everything else, so a shared
-operator equals a standalone one bit for bit.  The table and symbol are
-made read-only once the near constants are in.  A tabulated profile, a
-rough_cosine original (its table carries the modulation) and a
-separable_cosine one (no near constants in its table) leave the
-symmetrized operator to build its own table.
+What does not depend on the mask is the operator's BoxKernel: the table
+with its near constants, the symbol, and the tail density per orbit
+representative.  assemble(..., shared=other.box_kernel) takes the table,
+symbol and near constants when shares_table holds (an analytic profile
+and its rearrangement, which rearrange_profile returns as is), and the
+tail wherever the masks share representatives and the profile is the
+same object; the rest is built, so the operator is bit-identical to a
+standalone one.  Tabulated, rough_cosine and separable_cosine originals
+leave the symmetrized operator its own table.
 """
 
 from __future__ import annotations

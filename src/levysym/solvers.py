@@ -14,10 +14,7 @@ P scatters the masked cells into the (2n)^N box (R. H. Chan and M. K.
 Ng, SIAM Review 38, 1996).  Every other system takes Jacobi: a shifted
 one (each implicit-Euler step, where the mass over dt already conditions
 the system), a separable_cosine one (its near band differs row by row)
-and dense arrays.  On the two-box 2-D n = 64 scenario the circulant takes
-13 and 12 iterations for u and v where Jacobi took 45 and 43, and with
-c = 100 |x|^2 (diagonal spread 1.53) 15 where Jacobi took 32 and the
-unscaled circulant 18.
+and dense arrays.
 
 The parabolic march is implicit Euler: each step solves the elliptic
 system shifted by the volume-weighted mass over the step size, which
