@@ -68,6 +68,7 @@ import time
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -244,8 +245,7 @@ class DiscreteOperator:
         return replace(self, cdiag=np.asarray(cdiag, dtype=np.float64))
 
 
-@dataclass(frozen=True, eq=False)
-class BoxKernel:
+class BoxKernel(NamedTuple):
     """The part of an operator that does not depend on its mask: the
     offset table with the near constants written in (none for a separable
     kernel, whose near band is per mask), their refinement depths, the
