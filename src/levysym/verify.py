@@ -16,7 +16,6 @@ a level costs only the count of the cells above it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -111,6 +110,10 @@ class CheckReport:
 
 
 def config_hash(obj) -> str:
+    # imported here: hashlib (OpenSSL) is about 3 ms of `import levysym.cli`
+    # in a fresh interpreter, and only a run hashes its config
+    import hashlib
+
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
