@@ -26,14 +26,20 @@ vectors and one near constant per offset, refined with a J, and W = T.
 A SeparableCosine modulation 1 + amp g(x) g(y) gives
 W = T + amp G T G + N with G = diag(g) at the masked cells and N the
 band of near weights, which differ from row to row: each refinement
-level builds them from three sums per offset (separable_rows).  N is
-stored as two (K, m) arrays, one slot per near offset (see
-DiscreteOperator), so assembly needs numpy alone; scipy serves only the
-exponential and logarithmic profile kinds (see kernels).  assemble
-refuses any other modulation callable with a ValueError.  Outside
-DiscreteOperator, W is read only through pair_rows (rows of W) and
-weights_times (W x); weight_matrix and matrix are explicit
-materialisations for small m.
+level builds them from three sums per offset (separable_rows) and the
+rows' phase terms, computed once per offset.  N is stored as two (K, m)
+arrays, one slot per near offset (see DiscreteOperator), so assembly
+needs numpy alone; scipy serves only the exponential and logarithmic
+profile kinds (see kernels).  assemble refuses any other modulation
+callable with a ValueError.  Outside DiscreteOperator, W is read only
+through pair_rows (rows of W) and weights_times (W x); weight_matrix and
+matrix are explicit materialisations for small m.
+
+The near sums of a level (c0 = sum J over its subcell points, and C and
+S for a separable kernel) do not depend on the row either: each assemble
+keeps them in one NearSums table, keyed by the lex-positive offset and
+the level, from which the offset -delta reads (c0, C, -S).  A
+rough_cosine kernel sums a J instead and keeps its own sums.
 
 Killing collects everything the masked cell sees outside the domain: the
 same pairwise weights toward unmasked in-box cells, plus the analytic
@@ -50,14 +56,16 @@ about seven arrays it has live at once fit in one row block; a
 representative's density is the mean of its own row, whatever the block.
 
 What does not depend on the mask is the operator's BoxKernel: the table
-with its near constants, the symbol, and the tail density per orbit
-representative.  assemble(..., shared=other.box_kernel) takes the table,
-symbol and near constants when shares_table holds (an analytic profile
-and its rearrangement, which rearrange_profile returns as is), and the
-tail wherever the masks share representatives and the profile is the
-same object; the rest is built, so the operator is bit-identical to a
-standalone one.  Tabulated, rough_cosine and separable_cosine originals
-leave the symmetrized operator its own table.
+with its near constants, the symbol, the near sums, and the tail density
+per orbit representative.  assemble(..., shared=other.box_kernel) takes
+the table, symbol and near constants when shares_table holds (an
+analytic profile and its rearrangement, which rearrange_profile returns
+as is), and the tail wherever the masks share representatives and the
+profile is the same object; the rest is built, so the operator is
+bit-identical to a standalone one.  Tabulated, rough_cosine and
+separable_cosine originals leave the symmetrized operator its own table;
+behind a separable_cosine original with the same profile object its near
+constants read c0 from the original's near sums.
 """
 
 from __future__ import annotations
@@ -249,9 +257,10 @@ class BoxKernel(NamedTuple):
     """The part of an operator that does not depend on its mask: the
     offset table with the near constants written in (none for a separable
     kernel, whose near band is per mask), their refinement depths, the
-    table's symbol, and the exterior tail density at the orbit
-    representatives (see tail_orbits) of the mask it was built for.  The
-    table and symbol are read-only, so operators may share them."""
+    table's symbol, the exterior tail density at the orbit
+    representatives (see tail_orbits) of the mask it was built for, and
+    the near sums of its assembly.  The table and symbol are read-only,
+    so operators may share them."""
 
     kernel: Kernel
     dimension: int
@@ -262,6 +271,7 @@ class BoxKernel(NamedTuple):
     depths: dict
     tail_reps: np.ndarray
     tail_dens: np.ndarray
+    near_sums: NearSums
 
     def fits(self, grid: Grid) -> bool:
         """Whether grid has this box: the same dimension, n and L."""
@@ -412,13 +422,21 @@ def build_rhs(op: DiscreteOperator, f) -> np.ndarray:
     return op.volumes * masked_vector(op.grid, f)
 
 
-def subcell_offsets(h: float, m: int, dim: int) -> np.ndarray:
-    """Midpoints of an m^dim uniform subdivision of [-h/2, h/2]^dim."""
+def subcell_axes(shift: np.ndarray, h: float, m: int) -> list:
+    """Per-axis coordinates of the points shift + t, t the midpoints of an
+    m^dim uniform subdivision of [-h/2, h/2]^dim: the points are the
+    C-order product of these axes (see axis_sum)."""
     axis = (np.arange(m) + 0.5) * (h / m) - h / 2.0
-    if dim == 1:
-        return axis[:, None]
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    return [s + axis for s in shift]
+
+
+def axis_sum(parts: list) -> np.ndarray:
+    """One value per axis, summed at every point of the C-order product of
+    the axes (the first axis slowest), as a flat array."""
+    out = parts[0]
+    for part in parts[1:]:
+        out = np.add.outer(out, part).ravel()
+    return out
 
 
 def near_offsets(dim: int) -> list:
@@ -442,55 +460,131 @@ def offset_modulation(kernel: Kernel, v: np.ndarray) -> np.ndarray:
     return modulation_factor(kernel, np.zeros_like(y), y)
 
 
-def separable_rows(mod: SeparableCosine, xi: np.ndarray, xj: np.ndarray,
+class NearSums:
+    """The near-field level sums of one assembly, for one profile at one
+    cell width h.
+
+    levels maps (lex-positive offset delta, m) to the sums over the m^dim
+    subcell points v = h delta + t of level m: (c0,), c0 = sum J(|v|), or
+    with omega (a SeparableCosine kernel's) (c0, C, S), C = sum
+    cos(omega s_v) J and S = sum sin(omega s_v) J, s the coordinate sum.
+    The offset -delta reads (c0, C, -S), since t -> -t maps its points
+    onto those of delta.  base is an earlier operator's table of the same
+    profile and h, read where it holds a level.  computed, reused and
+    points count the levels summed here, those read from a table, and the
+    profile points evaluated for them; a rough_cosine kernel's sums of
+    a J are counted but not kept."""
+
+    def __init__(self, kernel: Kernel, h: float, base: NearSums | None = None):
+        """An empty table for kernel, reading base where base serves it."""
+        mod = kernel.modulation
+        self.profile, self.h = kernel.profile, h
+        self.omega = mod.omega if isinstance(mod, SeparableCosine) else None
+        self.base = base if base is not None and base.serves(kernel, h) else None
+        self.levels = {}
+        self.computed = self.reused = self.points = 0
+
+    def serves(self, kernel: Kernel, h: float) -> bool:
+        """Whether kernel may read these sums at cell width h: the same
+        profile object and h, and C and S at its omega if it is separable."""
+        mod = kernel.modulation
+        return (kernel.profile is self.profile and h == self.h
+                and (not isinstance(mod, SeparableCosine) or mod.omega == self.omega))
+
+    def profile_on(self, shift: np.ndarray, m: int) -> tuple:
+        """(per-axis coordinates, J(|v|)) at the points v of level m."""
+        coords = subcell_axes(shift, self.h, m)
+        self.computed += 1
+        self.points += m ** len(coords)
+        return coords, self.profile.evaluate(np.sqrt(axis_sum([c ** 2 for c in coords])))
+
+    def level(self, delta: tuple, m: int) -> tuple:
+        """The sums of level m at delta: kept here or in base, else summed
+        and kept under the lex-positive offset."""
+        key = delta if lex_positive(delta) else tuple(-d for d in delta)
+        sums = self.levels.get((key, m))
+        if sums is None and self.base is not None:
+            sums = self.base.levels.get((key, m))
+        if sums is None:
+            coords, jvals = self.profile_on(self.h * np.asarray(key, dtype=np.float64), m)
+            sums = (float(jvals.sum()),)
+            if self.omega is not None:
+                phase = self.omega * axis_sum(coords)
+                sums += (float(np.cos(phase) @ jvals), float(np.sin(phase) @ jvals))
+            self.levels[key, m] = sums
+        else:
+            self.reused += 1
+        if key != delta and len(sums) == 3:
+            sums = (sums[0], sums[1], -sums[2])
+        return sums
+
+    def rough(self, kernel: Kernel, delta: tuple, m: int) -> float:
+        """sum a(0, v) J(|v|) over the points of level m, for a RoughCosine
+        kernel; not kept."""
+        coords, jvals = self.profile_on(self.h * np.asarray(delta, dtype=np.float64), m)
+        v = np.stack([g.ravel() for g in np.meshgrid(*coords, indexing="ij")], axis=1)
+        return float((offset_modulation(kernel, v) * jvals).sum())
+
+
+def row_phases(omega: float, x: np.ndarray) -> tuple:
+    """(cos, sin, g) of omega s at the points x (rows), s the coordinate
+    sum and g = (1 + cos) / 2: the row terms of separable_rows."""
+    p = omega * x.sum(axis=1)
+    c = np.cos(p)
+    return c, np.sin(p), 0.5 * (1.0 + c)
+
+
+def separable_rows(mod: SeparableCosine, at_i: tuple, at_j: tuple,
                    c0: float, C: float, S: float) -> np.ndarray:
     """Sum over the subcell points v of (a(x_i, x_i + v) + a(x_j, x_j - v))
-    J(|v|) / 2 per row, from c0 = sum J, C = sum cos(omega s_v) J and
-    S = sum sin(omega s_v) J, s the coordinate sum.  Exact, since
-    g(x + v) = (1 + cos(omega s_x) cos(omega s_v) - sin(omega s_x)
-    sin(omega s_v)) / 2."""
-    pi, pj = mod.omega * xi.sum(axis=1), mod.omega * xj.sum(axis=1)
-    ci, cj = np.cos(pi), np.cos(pj)
-    gi, gj = 0.5 * (1.0 + ci), 0.5 * (1.0 + cj)
-    return c0 + 0.25 * mod.amp * (gi * (c0 + ci * C - np.sin(pi) * S)
-                                  + gj * (c0 + cj * C + np.sin(pj) * S))
+    J(|v|) / 2 per row, from the row_phases at x_i and x_j, c0 = sum J,
+    C = sum cos(omega s_v) J and S = sum sin(omega s_v) J, s the
+    coordinate sum.  Exact, since g(x + v) = (1 + cos(omega s_x)
+    cos(omega s_v) - sin(omega s_x) sin(omega s_v)) / 2."""
+    (ci, si, gi), (cj, sj, gj) = at_i, at_j
+    return c0 + 0.25 * mod.amp * (gi * (c0 + ci * C - si * S)
+                                  + gj * (c0 + cj * C + sj * S))
 
 
 def refined_pair_weights(kernel: Kernel, centers: np.ndarray, rows: np.ndarray,
-                         delta: tuple, h: float) -> tuple:
+                         delta: tuple, h: float, sums: NearSums | None = None) -> tuple:
     """Symmetrized near-pair weights for all pairs (i, i + delta).
 
     centers: (count, N) cell centers of the full box, rows: flat indices of
     the source cells.  Returns (weights, depth) where weights[r] is
     (Q(C_i, C_j) + Q(C_j, C_i)) / 2 for i = rows[r], j the delta-neighbor.
-    Each midpoint level sums over the subcell points v = h delta + t: one
-    constant for every row unless the modulation is separable, whose
-    per-row values come from three per-offset sums (separable_rows) and
-    must lie in [1, Lambda] times the unmodulated sum.  The levels
-    m = 1, 2, 4, ... points per axis are each extrapolated to
-    rich = plain + (plain - previous plain) / 3 until max |rich - previous
-    rich| / max(|rich|, 1e-300) drops below NEAR_TOL; AssemblyError if the
-    cap comes first.
+    Each midpoint level sums over the subcell points v = h delta + t, read
+    from the table sums (a new one when None; ValueError when it does not
+    serve the kernel): one constant for every row unless the modulation is
+    separable, whose per-row values come from three per-offset sums
+    (separable_rows) and must lie in [1, Lambda] times the unmodulated
+    sum.  The levels m = 1, 2, 4, ... points per axis are each
+    extrapolated to rich = plain + (plain - previous plain) / 3 until
+    max |rich - previous rich| / max(|rich|, 1e-300) drops below NEAR_TOL;
+    AssemblyError if the cap comes first.
     """
     dim = len(delta)
-    shift = h * np.asarray(delta, dtype=np.float64)
     mod = kernel.modulation
-    xi = centers[rows]
     cap = NEAR_CAP_1D if dim == 1 else NEAR_CAP_2D
+    if sums is None:
+        sums = NearSums(kernel, h)
+    elif not sums.serves(kernel, h):
+        raise ValueError("near sums of another profile, cell width or omega")
+    separable = isinstance(mod, SeparableCosine)
+    if separable:
+        xi = centers[rows]
+        at_i = row_phases(mod.omega, xi)
+        at_j = row_phases(mod.omega, xi + h * np.asarray(delta, dtype=np.float64))
 
     def level(m: int) -> np.ndarray:
-        v = shift[None, :] + subcell_offsets(h, m, dim)
-        jvals = kernel.profile.evaluate(np.sqrt(np.sum(v ** 2, axis=1)))
         scale = h ** dim * (h / m) ** dim
-        if not isinstance(mod, SeparableCosine):
+        if isinstance(mod, RoughCosine):
             # with a(|x - y|) both cell viewpoints see the same radii
-            aj = jvals if mod is None else offset_modulation(kernel, v) * jvals
-            return np.full(rows.size, scale * float(aj.sum()))
-        phase = mod.omega * v.sum(axis=1)
-        c0 = float(jvals.sum())
-        out = scale * separable_rows(mod, xi, xi + shift, c0,
-                                     float(np.cos(phase) @ jvals),
-                                     float(np.sin(phase) @ jvals))
+            return np.full(rows.size, scale * sums.rough(kernel, delta, m))
+        c0, *cs = sums.level(delta, m)
+        if not separable:
+            return np.full(rows.size, scale * c0)
+        out = scale * separable_rows(mod, at_i, at_j, c0, *cs)
         lo = scale * c0
         if np.any(out < lo * (1.0 - 1e-12)) or np.any(out > kernel.Lambda * lo * (1.0 + 1e-12)):
             raise ValueError("modulation leaves the certified band [1, Lambda]")
@@ -603,27 +697,29 @@ def far_offset_table(kernel: Kernel, grid: Grid) -> np.ndarray:
     return table
 
 
-def near_constants(kernel: Kernel, grid: Grid, pairs: np.ndarray) -> dict:
+def near_constants(kernel: Kernel, grid: Grid, pairs: np.ndarray, sums: NearSums) -> dict:
     """Write one refined near constant per lex-positive offset that fits in
     the table into pairs, at +delta and -delta (the source cell is
-    immaterial), and return the refinement depth of each."""
+    immaterial), from the level sums in sums, and return the refinement
+    depth of each."""
     n, dim = grid.n, grid.dimension
     table = pairs.reshape((2 * n - 1,) * dim)
     depths = {}
     for delta in near_offsets(dim):
         if lex_positive(delta) and max(map(abs, delta)) < n:
             wvals, depths[str(delta)] = refined_pair_weights(
-                kernel, grid.centers, np.zeros(1, dtype=np.int64), delta, grid.h)
+                kernel, grid.centers, np.zeros(1, dtype=np.int64), delta, grid.h,
+                sums=sums)
             d = np.asarray(delta)
             table[tuple(n - 1 + d)] = table[tuple(n - 1 - d)] = wvals[0]
     return depths
 
 
-def near_field(kernel: Kernel, grid: Grid, kappa: np.ndarray) -> tuple:
+def near_field(kernel: Kernel, grid: Grid, kappa: np.ndarray, sums: NearSums) -> tuple:
     """Refined near weights of a separable kernel, from the lex-positive
-    side toward masked cells and into kappa toward unmasked ones.  Returns
-    (near, near_cols, depth per offset), the symmetric band in the slot
-    form of DiscreteOperator."""
+    side toward masked cells and into kappa toward unmasked ones, from
+    the level sums in sums.  Returns (near, near_cols, depth per offset),
+    the symmetric band in the slot form of DiscreteOperator."""
     midx = grid.masked_indices
     m = midx.size
     # masked-local position of each flat cell, -1 when unmasked
@@ -645,7 +741,7 @@ def near_field(kernel: Kernel, grid: Grid, kappa: np.ndarray) -> tuple:
         if rows.size == 0:
             continue
         wvals, depths[str(delta)] = refined_pair_weights(
-            kernel, grid.centers, midx[rows], delta, grid.h)
+            kernel, grid.centers, midx[rows], delta, grid.h, sums=sums)
         sel, cols = rows[tmasked], local[tflat[tmasked]]
         # the pair at +delta from sel is the pair at -delta from cols
         near[k, sel] = near[-1 - k, cols] = wvals[tmasked]
@@ -671,10 +767,11 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None,
 
     shared is another operator's box_kernel.  On a grid of the same
     geometry its table, symbol and near constants are taken as they are
-    when shares_table(kernel, shared.kernel), and its tail densities at
-    the orbit representatives both masks have whenever the two profiles
-    are one object; the rest is built here, so the operator equals a
-    standalone assembly bit for bit.
+    when shares_table(kernel, shared.kernel); whenever the two profiles
+    are one object its tail densities at the orbit representatives both
+    masks have, and its near sums where they serve the kernel (see
+    NearSums.serves), are read.  The rest is built here, so the operator
+    equals a standalone assembly bit for bit.
     """
     if kernel.dimension != grid.dimension:
         raise ValueError("kernel dimension does not match the grid")
@@ -696,13 +793,14 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None,
     if shared is not None and not shared.fits(grid):
         shared = None
     share_table = shared is not None and shares_table(kernel, shared.kernel)
+    sums = NearSums(kernel, grid.h, None if shared is None else shared.near_sums)
     if share_table:
         pairs, symbol, depths = shared.pairs, shared.symbol, dict(shared.depths)
     else:
         pairs = far_offset_table(kernel, grid) * vol ** 2
     t_far = time.perf_counter()
     if not share_table:
-        depths = {} if separable else near_constants(kernel, grid, pairs)
+        depths = {} if separable else near_constants(kernel, grid, pairs, sums)
         symbol = circulant_symbol(pairs, n, dim)
         # read-only from here on, so that another operator may share them
         pairs.flags.writeable = symbol.flags.writeable = False
@@ -723,7 +821,7 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None,
         kappa += mod.amp * g * product(gbox[outside], outside)
     kappa = np.maximum(kappa, 0.0)
     if separable:
-        near, near_cols, depths = near_field(kernel, grid, kappa)
+        near, near_cols, depths = near_field(kernel, grid, kappa, sums)
     t_near = time.perf_counter()
 
     # analytic tail beyond the box, bracketed by the modulation band
@@ -758,6 +856,8 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None,
         "masked_cells": int(m),
         "threads": workers,
         "near_refinement_depths": depths,
+        "near_sums": {"computed": sums.computed, "reused": sums.reused,
+                      "points": sums.points},
         "tail_interval_width_max": float(np.max(tail_hi - tail_lo)),
         "tail_interval_width_median": med_width,
         "tail_to_kappa_median_ratio": med_tail / med_kappa if med_kappa > 0 else math.inf,
@@ -772,7 +872,7 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None,
     }
     box = BoxKernel(kernel=kernel, dimension=dim, n=n, half_width=grid.half_width,
                     pairs=pairs, symbol=symbol, depths=depths, tail_reps=reps,
-                    tail_dens=dens)
+                    tail_dens=dens, near_sums=sums)
     return DiscreteOperator(grid=grid, volumes=np.full(m, vol), pairs=pairs,
                             kappa=kappa, cdiag=cvals * vol,
                             tail_interval=np.stack([tail_lo, tail_hi], axis=1),

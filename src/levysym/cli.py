@@ -609,8 +609,9 @@ def run_phases(cfg, mode, log):
     op_v = assemble(envelope, ball, c=c_sharp, shared=op_u.box_kernel)
     assembly_seconds = time.perf_counter() - t_asm
 
+    digest = config_hash(cfg.raw)
     diagnostics = {
-        "config_hash": config_hash(cfg.raw),
+        "config_hash": digest,
         "mode": mode,
         "seed": cfg.seed,
         "grid": {"dimension": grid.dimension, "n": grid.n,
@@ -666,7 +667,6 @@ def run_phases(cfg, mode, log):
 
     reports = []
     checks_path = os.path.join(outdir, "checks.jsonl")
-    digest = config_hash(cfg.raw)
     check_seconds = {}
     log.phase = "checks"
     try:
@@ -731,9 +731,12 @@ def estimate_bytes(cfg):
     diagonals, volumes, tail intervals and cell lists, the solutions), 24
     of cell_count (both grids' cached index, coordinate and order arrays,
     the run's grid functions), with separable_cosine the near band's two
-    (K, m) arrays and g, and a fixed 160 KiB of Python objects, most of it
-    the record buffer a csv.writer grows.  Phases: one FFT product's box
-    temporaries, with the circulant preconditioner's symbol during an
+    (K, m) arrays and g, a fixed 160 KiB of Python objects, most of it
+    the record buffer a csv.writer grows, 16 KiB for the near sums an
+    operator keeps (assembly.NearSums: 80 levels of three sums take 13 KB
+    at the 2-D offsets) and 64 KiB for hashlib, which the config hash
+    imports on a run's first use (47-57 KB traced).  Phases: one FFT
+    product's box temporaries, with the circulant preconditioner's symbol during an
     elliptic solve; in 2-D the exterior tail's block
     (assembly.tail_block_floats); the coarea walk's b x b blocks
     (b = cut_block, at most m) when coarea is requested; the separable
@@ -743,10 +746,10 @@ def estimate_bytes(cfg):
     reports and residuals per step and the parabolic check's window arrays
     (about six stacked arrays of the u# and v rows of gap_window steps).
     The counts are calibrated against the tracemalloc peak of a warm run.
-    The interpreter and its modules are not counted (see the README's
-    memory_cap_gb); a first run also traces the modules it imports,
-    numpy.fft (about 0.2 MiB) and, for the exponential kind, scipy.special
-    (about 10 MiB)."""
+    The interpreter and its other modules are not counted (see the
+    README's memory_cap_gb); a first run also traces the modules it
+    imports, numpy.fft (about 0.2 MiB) and, for the exponential kind,
+    scipy.special (about 10 MiB)."""
     grid = scenario_grid(cfg)
     m, dim, n = grid.masked_count, grid.dimension, grid.n
     box = (2 * n) ** dim
@@ -755,7 +758,7 @@ def estimate_bytes(cfg):
     kernel = scenario_kernel(cfg)
     separable = isinstance(kernel.modulation, SeparableCosine)
     tables = 1 if shares_table(kernel, envelope_kernel(kernel)) else 2
-    kept = tables * (table + symbol) + 20 * m + 24 * grid.cell_count + 160 * 1024 // 8
+    kept = tables * (table + symbol) + 20 * m + 24 * grid.cell_count + (160 + 16 + 64) * 1024 // 8
     # an FFT product: the zero box, its transform, the product, the inverse
     # and its intermediate, and the gathered result; a system without a
     # near band is solved with the circulant, which keeps one more symbol

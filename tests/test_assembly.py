@@ -17,6 +17,7 @@ from levysym.assembly import (
 from levysym.kernels import (
     Kernel,
     RadialProfile,
+    SeparableCosine,
     eval_kernel,
     make_modulation,
     radial_primitive,
@@ -303,7 +304,8 @@ class TestSharedKernel:
                      "near_cols"):
             a, b = getattr(got, name), getattr(want, name)
             assert (a is None and b is None) or np.array_equal(a, b), name
-        skip = SECONDS | {"shared_kernel"}
+        # near_sums counts where the sums came from, like shared_kernel
+        skip = SECONDS | {"shared_kernel", "near_sums"}
         assert ({k: v for k, v in got.diagnostics.items() if k not in skip}
                 == {k: v for k, v in want.diagnostics.items() if k not in skip})
 
@@ -650,16 +652,14 @@ def reference_weights(kernel, grid, near):
 
 def mutant_rows(kind):
     """assembly.separable_rows with one deliberate fault ("exact": none)."""
-    def rows(mod, xi, xj, c0, C, S):
-        pi, pj = mod.omega * xi.sum(axis=1), mod.omega * xj.sum(axis=1)
-        ci, cj = np.cos(pi), np.cos(pj)
-        gi, gj = 0.5 * (1.0 + ci), 0.5 * (1.0 + cj)
+    def rows(mod, at_i, at_j, c0, C, S):
+        (ci, si, gi), (cj, sj, gj) = at_i, at_j
         if kind == "swap-cos":
             ci, cj = cj, ci
         s_sign = 1.0 if kind == "flip-S" else -1.0
         quarter = 0.5 if kind == "amp/2" else 0.25
-        return c0 + quarter * mod.amp * (gi * (c0 + ci * C + s_sign * np.sin(pi) * S)
-                                         + gj * (c0 + cj * C + np.sin(pj) * S))
+        return c0 + quarter * mod.amp * (gi * (c0 + ci * C + s_sign * si * S)
+                                         + gj * (c0 + cj * C + sj * S))
     return rows
 
 
@@ -778,6 +778,201 @@ class TestModulationForms:
         low = replace(k, Lambda=1.0 + 0.9 * (ratio - 1.0))
         with pytest.raises(ValueError, match="certified band"):
             assembly.refined_pair_weights(low, g.centers, src, delta, g.h)
+
+
+def per_offset_near(kernel, centers, rows, delta, h):
+    """The near loop with no shared sums, as refined_pair_weights ran it
+    before NearSums: every level evaluates the profile on the meshgrid of
+    its own subcell points, and for a separable modulation recomputes every
+    row's phase terms.  Returns (weights, depth), None where the cap comes
+    first."""
+    dim = len(delta)
+    shift = h * np.asarray(delta, dtype=np.float64)
+    mod = kernel.modulation
+    xi = centers[rows]
+    cap = assembly.NEAR_CAP_1D if dim == 1 else assembly.NEAR_CAP_2D
+
+    def rows_sum(xj, c0, C, S):
+        pi, pj = mod.omega * xi.sum(axis=1), mod.omega * xj.sum(axis=1)
+        ci, cj = np.cos(pi), np.cos(pj)
+        gi, gj = 0.5 * (1.0 + ci), 0.5 * (1.0 + cj)
+        return c0 + 0.25 * mod.amp * (gi * (c0 + ci * C - np.sin(pi) * S)
+                                      + gj * (c0 + cj * C + np.sin(pj) * S))
+
+    def level(m):
+        axis = (np.arange(m) + 0.5) * (h / m) - h / 2.0
+        t = np.stack([g.ravel() for g in np.meshgrid(*([axis] * dim), indexing="ij")],
+                     axis=1)
+        v = shift[None, :] + t
+        jvals = kernel.profile.evaluate(np.sqrt(np.sum(v ** 2, axis=1)))
+        scale = h ** dim * (h / m) ** dim
+        if not isinstance(mod, SeparableCosine):
+            aj = jvals if mod is None else assembly.offset_modulation(kernel, v) * jvals
+            return np.full(rows.size, scale * float(aj.sum()))
+        phase = mod.omega * v.sum(axis=1)
+        return scale * rows_sum(xi + shift, float(jvals.sum()),
+                                float(np.cos(phase) @ jvals), float(np.sin(phase) @ jvals))
+
+    prev_plain, prev_rich = level(1), None
+    m = 2
+    while m <= cap:
+        plain = level(m)
+        rich = plain + (plain - prev_plain) / 3.0
+        if prev_rich is not None:
+            denom = np.maximum(np.abs(rich), 1e-300)
+            if np.max(np.abs(rich - prev_rich) / denom) < assembly.NEAR_TOL:
+                return rich, m
+        prev_plain, prev_rich = plain, rich
+        m *= 2
+    return None
+
+
+NEAR_PROFILES = {
+    "power": lambda dim: RadialProfile.power(0.4, dimension=dim),
+    "sum_of_powers": lambda dim: RadialProfile.sum_of_powers([0.2, 0.7], dimension=dim),
+    "exponential": lambda dim: RadialProfile.exponential(1.5, dimension=dim),
+    "logarithmic": lambda dim: RadialProfile.logarithmic(1.0, dimension=dim),
+    "tabulated": lambda dim: RadialProfile.tabulated(
+        [0.2, 0.5, 1.3, 2.5], [4.0, 2.0, 1.0, 0.5], dimension=dim),
+}
+
+
+def profile_kernel(kind, tag, dim, lam=2.0):
+    profile = NEAR_PROFILES[kind](dim)
+    if tag == "none":
+        return Kernel(profile=profile)
+    return Kernel(profile=profile, Lambda=lam, modulation=make_modulation(tag, lam, dim=dim),
+                  modulation_tag=tag)
+
+
+class TestNearSums:
+    """One table of level sums per assembly against the per-offset loop."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("tag", ["none", "rough_cosine", "separable_cosine"])
+    @pytest.mark.parametrize("kind", sorted(NEAR_PROFILES))
+    def test_table_matches_per_offset_loop(self, kind, tag, dim):
+        # every offset in near_field's order through one table: the
+        # lex-positive weights and all depths bit for bit, the others (read
+        # from reflected sums) within rounding; the 2-D table profile steps
+        # at r = 0.2 inside the near field, where some offsets meet the cap
+        g = two_piece_grid(dim)
+        k = profile_kernel(kind, tag, dim)
+        sums = assembly.NearSums(k, g.h)
+        for delta in assembly.near_offsets(dim):
+            src = near_rows(g, delta)[0]
+            if not src.size:
+                continue
+            ref = per_offset_near(k, g.centers, src, delta, g.h)
+            if ref is None:
+                with pytest.raises(AssemblyError):
+                    assembly.refined_pair_weights(k, g.centers, src, delta, g.h, sums=sums)
+                continue
+            got, depth = assembly.refined_pair_weights(k, g.centers, src, delta, g.h,
+                                                       sums=sums)
+            want, want_depth = ref
+            assert depth == want_depth, delta
+            if assembly.lex_positive(delta):
+                assert np.array_equal(got, want), delta
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        if tag == "rough_cosine":
+            assert sums.levels == {} and sums.reused == 0 and sums.computed > 0
+        else:
+            # each level of a lex-positive offset is summed once
+            assert sums.computed == len(sums.levels) and sums.reused > 0
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("tag", ["none", "rough_cosine", "separable_cosine"])
+    def test_assembled_depths_match_per_offset_loop(self, tag, dim):
+        g = two_piece_grid(dim)
+        k = profile_kernel("power", tag, dim)
+        op = assemble(k, g)
+        offsets = [d for d in assembly.near_offsets(dim)
+                   if tag == "separable_cosine" or assembly.lex_positive(d)]
+        want = {}
+        for delta in offsets:
+            src = near_rows(g, delta)[0] if tag == "separable_cosine" else np.zeros(1, int)
+            if src.size:
+                want[str(delta)] = per_offset_near(k, g.centers, src, delta, g.h)[1]
+        assert op.diagnostics["near_refinement_depths"] == want
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kind", ["power", "exponential", "logarithmic"])
+    def test_envelope_reads_separable_sums(self, kind, dim):
+        # the envelope's near constants take c0 from the original's table
+        # and equal a standalone assembly bit for bit
+        g = two_piece_grid(dim)
+        k = profile_kernel(kind, "separable_cosine", dim)
+        envelope = Kernel(profile=k.profile)
+        op_u = assemble(k, g)
+        shared = assemble(envelope, g.ball_grid, shared=op_u.box_kernel)
+        alone = assemble(envelope, g.ball_grid)
+        for name in ("pairs", "symbol", "kappa", "tail_interval"):
+            assert np.array_equal(getattr(shared, name), getattr(alone, name)), name
+        assert (shared.diagnostics["near_refinement_depths"]
+                == alone.diagnostics["near_refinement_depths"])
+        counts = shared.diagnostics["near_sums"]
+        assert counts["reused"] > 0
+        assert counts["computed"] == alone.diagnostics["near_sums"]["computed"] - counts["reused"]
+
+    def test_nothing_carries_over_between_assemblies(self):
+        g = two_piece_grid(2)
+        for k in (frac_kernel(0.4, dim=2), modulated_kernel("separable_cosine", 2)):
+            first, second = assemble(k, g), assemble(k, g)
+            assert first.box_kernel.near_sums is not second.box_kernel.near_sums
+            for op in (first, second):
+                counts = op.diagnostics["near_sums"]
+                assert counts["computed"] > 0 and counts["points"] > 0
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_band_checked_on_table_sums(self, dim):
+        # a narrower Lambda with the same profile and modulation reads every
+        # level from the table and is still refused
+        g = Grid.full_box(dim, 1.0, 8)
+        delta = (1,) * dim
+        src = near_rows(g, delta)[0]
+        k = modulated_kernel("separable_cosine", dim)
+        sums = assembly.NearSums(k, g.h)
+        w, _ = assembly.refined_pair_weights(k, g.centers, src, delta, g.h, sums=sums)
+        w0, _ = assembly.refined_pair_weights(frac_kernel(0.4, dim), g.centers, src,
+                                              delta, g.h)
+        low = replace(k, Lambda=1.0 + 0.9 * (float(np.max(w / w0)) - 1.0))
+        computed = sums.computed
+        with pytest.raises(ValueError, match="certified band"):
+            assembly.refined_pair_weights(low, g.centers, src, delta, g.h, sums=sums)
+        assert sums.computed == computed and sums.reused > 0
+
+    def test_cap_raises_with_table_sums(self, monkeypatch):
+        g = Grid.full_box(2, 1.0, 8)
+        k = modulated_kernel("separable_cosine", 2)
+        sums = assembly.NearSums(k, g.h)
+        src = near_rows(g, (1, 0))[0]
+        assembly.refined_pair_weights(k, g.centers, src, (1, 0), g.h, sums=sums)
+        monkeypatch.setattr(assembly, "NEAR_CAP_2D", 4)
+        with pytest.raises(AssemblyError):
+            assembly.refined_pair_weights(k, g.centers, src, (1, 0), g.h, sums=sums)
+
+    def test_table_of_another_kernel_refused(self):
+        g = Grid.full_box(2, 1.0, 8)
+        k = modulated_kernel("separable_cosine", 2)
+        sums = assembly.NearSums(k, g.h)
+        src = near_rows(g, (1, 0))[0]
+        others = [(frac_kernel(0.4, dim=2), g.h),
+                  (k, 0.5 * g.h),
+                  (Kernel(profile=k.profile, Lambda=2.0, modulation_tag="separable_cosine",
+                          modulation=make_modulation("separable_cosine", 2.0, 2, omega=2.0)),
+                   g.h)]
+        for other, h in others:
+            with pytest.raises(ValueError, match="near sums"):
+                assembly.refined_pair_weights(other, g.centers, src, (1, 0), h, sums=sums)
+        # an unmodulated kernel of the same profile reads c0 from it
+        plain = Kernel(profile=k.profile)
+        assembly.refined_pair_weights(k, g.centers, src, (1, 0), g.h, sums=sums)
+        reused = sums.reused
+        assembly.refined_pair_weights(plain, g.centers, np.zeros(1, int), (1, 0), g.h,
+                                      sums=sums)
+        assert sums.reused > reused
 
 
 def holed_grid(dim):

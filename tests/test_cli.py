@@ -446,6 +446,25 @@ class TestRunScenario:
             assert symmetrized["near_refinement_depths"] == original["near_refinement_depths"]
             assert 0.0 <= symmetrized["assembly_seconds"]
 
+    @pytest.mark.filterwarnings("ignore:box margin too small")
+    def test_diagnostics_record_near_sums(self, tmp_path):
+        # the modulated-2d32 benchmark geometry: op_v reads every near level
+        # from op_u's sums and evaluates no profile point of its own
+        cfg = parse_config(write_config(
+            tmp_path, dimension=2, n=32, domain={"type": "boxes", "pieces": BOXES},
+            kernel={"kind": "fractional", "s": 0.5, "Lambda": 2.0,
+                    "modulation": "separable_cosine", "omega": 3.0},
+            checks=["comparison", "energy", "polya_szego"]))
+        run_scenario(cfg, "elliptic")
+        diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        original = diag["assembly"]["original"]["near_sums"]
+        symmetrized = diag["assembly"]["symmetrized"]["near_sums"]
+        assert sorted(original) == ["computed", "points", "reused"]
+        assert original["computed"] > 0 and original["points"] > 0
+        assert symmetrized == {"computed": 0, "points": 0,
+                               "reused": symmetrized["reused"]}
+        assert symmetrized["reused"] > 0
+
     def test_parabolic_mode_requires_time_block(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
         with pytest.raises(ScenarioError):
@@ -631,8 +650,10 @@ class TestRefineSweep:
         assert report["decay_ratios"]["comparison"] == [None]
 
     def test_memory_guard_refuses_before_allocation(self, tmp_path):
+        # between the estimates of level 0 (274,568 B) and level 1
+        # (303,048 B)
         cfg = parse_config(write_config(tmp_path, n=64,
-                                        memory_cap_gb=2e-4))
+                                        memory_cap_gb=2.7e-4))
         code, report = refine_sweep(cfg, 3)
         assert report["refused"] is not None
         assert report["refused"]["level"] >= 1
