@@ -46,26 +46,22 @@ same pairwise weights toward unmasked in-box cells, plus the analytic
 radial tail beyond the box.  The tail knows only the envelope J, so with
 modulation Lambda > 1 it is an interval [1, Lambda] * tail; the midpoint
 enters kappa and the width lands in the diagnostics.  In 2-D the tail
-density is evaluated once per orbit of the square's eight symmetries,
-under which both the box and the midpoint angle rule are invariant: a ray
-leaves the box at the smaller of its two per-axis face distances, each
-built as one (representatives, TAIL_ANGLES) array per block, and the
-profile's kernels.radial_primitive(..., tail=True) is averaged over the
-rays.  A block holds ROW_BLOCK / 8 rays (16 representatives), so the
-about seven arrays it has live at once fit in one row block; a
-representative's density is the mean of its own row, whatever the block.
+density averages the profile's kernels.radial_primitive(..., tail=True)
+over TAIL_ANGLES midpoint rays.  Folded onto the first quadrant, the rays
+a face takes are a prefix of the K / 4 quadrant angles and depend only on
+its distance (g + 1/2) h, g < n, so prefix sums over n K / 4 primitive
+points give every box cell's density from eight lookups (TailTable).
 
 What does not depend on the mask is the operator's BoxKernel: the table
-with its near constants, the symbol, the near sums, and the tail density
-per orbit representative.  assemble(..., shared=other.box_kernel) takes
-the table, symbol and near constants when shares_table holds (an
-analytic profile and its rearrangement, which rearrange_profile returns
-as is), and the tail wherever the masks share representatives and the
-profile is the same object; the rest is built, so the operator is
-bit-identical to a standalone one.  Tabulated, rough_cosine and
-separable_cosine originals leave the symmetrized operator its own table;
-behind a separable_cosine original with the same profile object its near
-constants read c0 from the original's near sums.
+with its near constants, the symbol, the near sums and the tail table.
+assemble(..., shared=other.box_kernel) takes the table, symbol and near
+constants when shares_table holds (an analytic profile and its
+rearrangement, which rearrange_profile returns as is), and the tail
+table when the profile is the same object; the rest is built, so the
+operator is bit-identical to a standalone one.  Tabulated, rough_cosine
+and separable_cosine originals leave the symmetrized operator its own
+offset table; behind a separable_cosine original with the same profile
+object its near constants read c0 from the original's near sums.
 """
 
 from __future__ import annotations
@@ -104,8 +100,8 @@ NEAR_TOL = 1e-6
 NEAR_CAP_1D = 1024
 NEAR_CAP_2D = 256
 TAIL_ANGLES = 2048
-# bound on the entries of one row block of offset-table gathers; the 2-D
-# tail takes an eighth of it per block of rays
+# bound on the entries of one row block of offset-table gathers; a block
+# of the 2-D tail table's build takes an eighth of it
 ROW_BLOCK = 1 << 18
 
 
@@ -257,10 +253,8 @@ class BoxKernel(NamedTuple):
     """The part of an operator that does not depend on its mask: the
     offset table with the near constants written in (none for a separable
     kernel, whose near band is per mask), their refinement depths, the
-    table's symbol, the exterior tail density at the orbit
-    representatives (see tail_orbits) of the mask it was built for, and
-    the near sums of its assembly.  The table and symbol are read-only,
-    so operators may share them."""
+    table's symbol, the near sums and the exterior tail table of its
+    assembly.  The arrays are read-only, so operators may share them."""
 
     kernel: Kernel
     dimension: int
@@ -269,25 +263,13 @@ class BoxKernel(NamedTuple):
     pairs: np.ndarray
     symbol: np.ndarray
     depths: dict
-    tail_reps: np.ndarray
-    tail_dens: np.ndarray
     near_sums: NearSums
+    tail: TailTable
 
     def fits(self, grid: Grid) -> bool:
         """Whether grid has this box: the same dimension, n and L."""
         return (grid.dimension, grid.n, grid.half_width) == (
             self.dimension, self.n, self.half_width)
-
-    def tail_at(self, kernel: Kernel, grid: Grid, reps: np.ndarray) -> np.ndarray:
-        """Tail densities at the sorted representatives reps: the stored
-        ones where this box kernel has them, box_tail_density's for the
-        rest.  A representative's density is the same either way."""
-        pos = np.minimum(np.searchsorted(self.tail_reps, reps), self.tail_reps.size - 1)
-        have = self.tail_reps[pos] == reps
-        dens = np.empty(reps.size)
-        dens[have] = self.tail_dens[pos[have]]
-        dens[~have] = box_tail_density(kernel, grid, reps[~have])
-        return dens
 
 
 class OperatorSystem:
@@ -430,12 +412,13 @@ def subcell_axes(shift: np.ndarray, h: float, m: int) -> list:
     return [s + axis for s in shift]
 
 
-def axis_sum(parts: list) -> np.ndarray:
-    """One value per axis, summed at every point of the C-order product of
-    the axes (the first axis slowest), as a flat array."""
+def axis_sum(parts: list, op=np.add) -> np.ndarray:
+    """One value per axis, summed (or combined by the ufunc op) at every
+    point of the C-order product of the axes (the first axis slowest), as
+    a flat array."""
     out = parts[0]
     for part in parts[1:]:
-        out = np.add.outer(out, part).ravel()
+        out = op.outer(out, part).ravel()
     return out
 
 
@@ -605,21 +588,6 @@ def refined_pair_weights(kernel: Kernel, centers: np.ndarray, rows: np.ndarray,
                         f"converge within {cap} subdivisions per axis")
 
 
-def tail_block_rows() -> int:
-    """Orbit representatives in one block of the 2-D box_tail_density: an
-    eighth of a row block of rays, so that the arrays a block holds at once
-    (tail_block_floats) fit in one row block."""
-    return max(1, ROW_BLOCK // 8 // TAIL_ANGLES)
-
-
-def tail_block_floats(reps: int) -> int:
-    """Floats the 2-D box_tail_density holds at its peak over reps orbit
-    representatives: seven (block, TAIL_ANGLES) arrays for a table or
-    logarithmic profile (the exit distances, two per-axis quotients and
-    the primitive's temporaries)."""
-    return 7 * min(reps, tail_block_rows()) * TAIL_ANGLES
-
-
 def median(x: np.ndarray) -> float:
     """np.median of a nonempty 1-D array, by the same partition and mean of
     the middle one or two entries; np.median itself loads numpy.ma (about
@@ -629,71 +597,101 @@ def median(x: np.ndarray) -> float:
     return float(part[k - 1 + x.size % 2:k + 1].mean())
 
 
-def tail_orbits(grid: Grid) -> tuple:
-    """(reps, inverse): the sorted flat box indices of the orbit
-    representatives of the masked cells and each masked cell's position
-    among them.  In 2-D a cell's orbit is its class under the square's
-    eight symmetries, represented by the folded index (a, b), a <= b, at
-    flat index a * n + b; in 1-D every cell is its own representative."""
-    if grid.dimension == 1:
-        return grid.masked_indices, np.arange(grid.masked_count)
-    if grid.dimension == 2:
-        n = grid.n
-        idx = grid.index_array[grid.masked_indices]
-        folded = np.sort(np.minimum(idx, n - 1 - idx), axis=1)
-        reps, inverse = np.unique(folded[:, 0] * n + folded[:, 1],
-                                  return_inverse=True)
-        return reps, inverse.ravel()
-    raise ValueError("full-grid assembly supports dimensions 1 and 2")
+def tail_table_rows() -> int:
+    """Face gaps per block of a TailTable build: an eighth of a row block
+    of quadrant rays, so that the primitive's temporaries fit in one."""
+    return max(1, ROW_BLOCK // 8 // (TAIL_ANGLES // 4))
 
 
-def box_tail_density(kernel: Kernel, grid: Grid, reps: np.ndarray | None = None) -> np.ndarray:
+class TailTable:
+    """The 2-D exterior tail density at every cell of one box, for one
+    profile.  A cell's rays split at its four corner angles into runs that
+    each leave through one face, at the distances (g + 1/2) h / cos of the
+    angle to the face normal, g < n the face's gap index.  build sums each
+    run from the prefix sums cum[g, t] = sum over k < t of F((g + 1/2) h /
+    cos theta_k), theta_k the K / 4 first-quadrant midpoint angles (K =
+    TAIL_ANGLES) and F the profile's radial_primitive(..., tail=True), for
+    tail_table_rows gaps at a time; points counts the primitive points it
+    evaluates.  base, another operator's table, is read instead when its
+    profile is the same object on the same box."""
+
+    def __init__(self, kernel: Kernel, grid: Grid, base: TailTable | None = None):
+        self.profile, self.h, self.n = kernel.profile, grid.h, grid.n
+        serves = (base is not None and base.profile is self.profile
+                  and (base.h, base.n) == (self.h, self.n))
+        self.density = base.density if serves else None
+        self.source = "shared" if self.density is not None else "computed"
+        self.points = 0
+
+    def build(self):
+        if TAIL_ANGLES % 4:
+            raise ValueError("TAIL_ANGLES must be a multiple of 4")
+        prim = radial_primitive(self.profile, 1.0, tail=True)
+        quarter, n = TAIL_ANGLES // 4, self.n
+        cosines = np.cos((np.arange(quarter) + 0.5) * (2.0 * math.pi / TAIL_ANGLES))
+        half = np.arange(n) + 0.5
+        # the rays from the normal of a face with gap a toward the next face
+        # counterclockwise, gap b, leave through the first up to the corner
+        # angle atan2(b, a), the t[a, b] first quadrant angles, and through
+        # the next face, by their angle to its normal, after it
+        t = np.ceil(np.arctan2(half, half[:, None]) * (2 * quarter / math.pi) - 0.5)
+        t = t.astype(np.int64)
+        # pair[a, b] = cum[a, t[a, b]], second[b, a] = cum[b, quarter - t[a, b]]
+        pair, second = np.empty((n, n)), np.empty((n, n))
+        step = tail_table_rows()
+        cum = np.zeros((min(n, step), quarter + 1))
+        for lo in range(0, n, step):
+            rays = prim(np.divide.outer(half[lo:lo + step] * self.h, cosines))
+            block = cum[:rays.shape[0]]
+            np.cumsum(rays, axis=1, out=block[:, 1:])
+            pair[lo:lo + step] = np.take_along_axis(block, t[lo:lo + step], axis=1)
+            second[lo:lo + step] = np.take_along_axis(block, quarter - t.T[lo:lo + step], 1)
+            self.points += rays.size
+        pair += second.T
+        # faces right, top, left, bottom of cell (i, j) have the gaps
+        # n - 1 - i, n - 1 - j, i and j
+        dens = pair[::-1, ::-1] + pair.T[:, ::-1]
+        dens += pair
+        dens += pair.T[::-1, :]
+        dens *= 2.0 * math.pi / TAIL_ANGLES
+        self.density = dens.ravel()
+        self.density.flags.writeable = False
+
+
+def box_tail_density(kernel: Kernel, grid: Grid, table: TailTable | None = None) -> np.ndarray:
     """Envelope interaction density with the exterior of the box: integral
-    of J(|x - y|) dy over R^N minus the box, per masked cell, or at the box
-    cells reps (flat indices, orbit representatives in 2-D) when given."""
-    inverse = None
-    if reps is None:
-        reps, inverse = tail_orbits(grid)
-    prim = radial_primitive(kernel.profile, grid.dimension - 1.0, tail=True)
-    L = grid.half_width
+    of J(|x - y|) dy over R^N minus the box, per masked cell.  In 2-D the
+    midpoint rule over TAIL_ANGLES rays, read from table (a new one when
+    None), which is built here if it has no density yet."""
     if grid.dimension == 1:
-        x = grid.centers[reps, 0]
-        dens = np.asarray(prim(L + x) + prim(L - x), dtype=np.float64)
-    elif grid.dimension == 2:
-        X = grid.centers[reps]
-        # polar decomposition: for each direction the ray exits the box at
-        # distance min over axes of (signed face gap / direction cosine),
-        # built one axis at a time as (representatives, angles) arrays
-        theta = (np.arange(TAIL_ANGLES) + 0.5) * (2.0 * math.pi / TAIL_ANGLES)
-        cx, cy = np.cos(theta), np.sin(theta)
-        dens = np.empty(reps.size)
-        step = tail_block_rows()
-        for lo in range(0, reps.size, step):
-            x, y = X[lo:lo + step, 0:1], X[lo:lo + step, 1:2]
-            exit_dist = np.where(cx > 0, L - x, -L - x) / cx
-            np.minimum(exit_dist, np.where(cy > 0, L - y, -L - y) / cy, out=exit_dist)
-            dens[lo:lo + step] = prim(exit_dist).mean(axis=1) * 2.0 * math.pi
-    else:
+        prim, L = radial_primitive(kernel.profile, 0.0, tail=True), grid.half_width
+        x = grid.centers[grid.masked_indices, 0]
+        return np.asarray(prim(L + x) + prim(L - x), dtype=np.float64)
+    if grid.dimension != 2:
         raise ValueError("full-grid assembly supports dimensions 1 and 2")
-    return dens if inverse is None else dens[inverse]
+    table = TailTable(kernel, grid) if table is None else table
+    if table.density is None:
+        table.build()
+    return table.density[grid.masked_indices]
 
 
 def far_offset_table(kernel: Kernel, grid: Grid) -> np.ndarray:
     """Profile at every integer index offset of the box, flattened over the
-    (2n - 1)^N offsets in C order.  A RoughCosine factor a(|x - y|) is
-    multiplied in; any other modulation is left to the caller.  The entry
-    is zero at Chebyshev distance <= 2, where the near field and the self
+    (2n - 1)^N offsets in C order, from per-axis squares and Chebyshev
+    norms.  A RoughCosine factor a(|x - y|) is multiplied in at the offset
+    vectors; any other modulation is left to the caller.  The entry is
+    zero at Chebyshev distance <= 2, where the near field and the self
     pair take over."""
     n, dim = grid.n, grid.dimension
     axis = np.arange(1 - n, n, dtype=np.int64)
-    offsets = np.stack([g.ravel() for g in np.meshgrid(*([axis] * dim), indexing="ij")],
-                       axis=1)
-    far = np.max(np.abs(offsets), axis=1) > 2
-    diff = grid.h * offsets[far]
-    table = np.zeros(offsets.shape[0])
-    table[far] = kernel.profile.evaluate(np.sqrt(np.sum(diff * diff, axis=1)))
+    step = grid.h * axis
+    far = axis_sum([np.abs(axis)] * dim, np.maximum) > 2
+    table = np.zeros(far.size)
+    table[far] = kernel.profile.evaluate(np.sqrt(axis_sum([step * step] * dim)[far]))
     if isinstance(kernel.modulation, RoughCosine):
-        table[far] *= offset_modulation(kernel, diff)
+        diff = np.stack([g.ravel() for g in np.meshgrid(*([step] * dim), indexing="ij")],
+                        axis=1)
+        table[far] *= offset_modulation(kernel, diff[far])
     return table
 
 
@@ -768,10 +766,9 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None,
     shared is another operator's box_kernel.  On a grid of the same
     geometry its table, symbol and near constants are taken as they are
     when shares_table(kernel, shared.kernel); whenever the two profiles
-    are one object its tail densities at the orbit representatives both
-    masks have, and its near sums where they serve the kernel (see
-    NearSums.serves), are read.  The rest is built here, so the operator
-    equals a standalone assembly bit for bit.
+    are one object its tail table, and its near sums where they serve the
+    kernel (see NearSums.serves), are read.  The rest is built here, so the
+    operator equals a standalone assembly bit for bit.
     """
     if kernel.dimension != grid.dimension:
         raise ValueError("kernel dimension does not match the grid")
@@ -825,12 +822,8 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None,
     t_near = time.perf_counter()
 
     # analytic tail beyond the box, bracketed by the modulation band
-    reps, inverse = tail_orbits(grid)
-    if shared is not None and shared.kernel.profile is kernel.profile:
-        dens = shared.tail_at(kernel, grid, reps)
-    else:
-        dens = box_tail_density(kernel, grid, reps)
-    tail = vol * dens[inverse]
+    tails = TailTable(kernel, grid, None if shared is None else shared.tail)
+    tail = vol * box_tail_density(kernel, grid, tails)
     t_tail = time.perf_counter()
     tail_lo = tail
     tail_hi = kernel.Lambda * tail
@@ -858,6 +851,8 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None,
         "near_refinement_depths": depths,
         "near_sums": {"computed": sums.computed, "reused": sums.reused,
                       "points": sums.points},
+        "tail_table": None if dim == 1 else {"source": tails.source,
+                                             "points": tails.points},
         "tail_interval_width_max": float(np.max(tail_hi - tail_lo)),
         "tail_interval_width_median": med_width,
         "tail_to_kappa_median_ratio": med_tail / med_kappa if med_kappa > 0 else math.inf,
@@ -871,8 +866,8 @@ def assemble(kernel: Kernel, grid: Grid, c: GridFunction | None = None,
         "assembly_seconds": time.perf_counter() - t0,
     }
     box = BoxKernel(kernel=kernel, dimension=dim, n=n, half_width=grid.half_width,
-                    pairs=pairs, symbol=symbol, depths=depths, tail_reps=reps,
-                    tail_dens=dens, near_sums=sums)
+                    pairs=pairs, symbol=symbol, depths=depths, near_sums=sums,
+                    tail=tails)
     return DiscreteOperator(grid=grid, volumes=np.full(m, vol), pairs=pairs,
                             kappa=kappa, cdiag=cvals * vol,
                             tail_interval=np.stack([tail_lo, tail_hi], axis=1),

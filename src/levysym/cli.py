@@ -20,8 +20,8 @@ import warnings
 
 import numpy as np
 
-from levysym.assembly import (ROW_BLOCK, AssemblyError, assemble, masked_vector,
-                              near_offsets, shares_table, tail_block_floats)
+from levysym.assembly import (ROW_BLOCK, TAIL_ANGLES, AssemblyError, assemble,
+                              masked_vector, near_offsets, shares_table, tail_table_rows)
 from levysym.env import thread_setting
 from levysym.kernels import (IntegrabilityError, Kernel, KernelDomainError,
                              RadialProfile, SeparableCosine, make_modulation,
@@ -735,10 +735,13 @@ def estimate_bytes(cfg):
     the record buffer a csv.writer grows, 16 KiB for the near sums an
     operator keeps (assembly.NearSums: 80 levels of three sums take 13 KB
     at the 2-D offsets) and 64 KiB for hashlib, which the config hash
-    imports on a run's first use (47-57 KB traced).  Phases: one FFT
-    product's box temporaries, with the circulant preconditioner's symbol during an
-    elliptic solve; in 2-D the exterior tail's block
-    (assembly.tail_block_floats); the coarea walk's b x b blocks
+    imports on a run's first use (47-57 KB traced), and in 2-D the exterior
+    tail densities of the box, n^2 floats, once when the two profiles are
+    one object (assembly.TailTable).  Phases: one FFT product's box
+    temporaries, with the circulant preconditioner's symbol during an
+    elliptic solve; in 2-D a tail table's build, seven arrays of
+    tail_table_rows x K / 4 (K = TAIL_ANGLES) for a block of prefix sums
+    and three n x n arrays; the coarea walk's b x b blocks
     (b = cut_block, at most m) when coarea is requested; the separable
     band's gather block; and in a parabolic run the states both
     trajectories keep (2 steps m), the masked per-step loads of f and f#
@@ -764,8 +767,8 @@ def estimate_bytes(cfg):
     # near band is solved with the circulant, which keeps one more symbol
     phases = [6 * box + (0 if separable else symbol)]
     if dim == 2:
-        # box_tail_density's block, of at most m orbit representatives
-        phases.append(tail_block_floats(m))
+        kept += (1 if envelope_kernel(kernel).profile is kernel.profile else 2) * n * n
+        phases.append(7 * min(n, tail_table_rows()) * (TAIL_ANGLES // 4) + 3 * n * n)
     if "coarea" in cfg.checks:
         # the gathered block with its index array or a second block
         # (|u_i - u_j|, the lower triangle, the modulated term)

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, sparse
 
 import levysym.assembly as assembly
@@ -154,6 +156,27 @@ def two_piece_grid(dim):
     return Grid(2, 1.0, 16, mask.reshape(16, 16))
 
 
+TAIL_PROFILES = {
+    "power": RadialProfile.power(0.5, dimension=2),
+    "sum_of_powers": RadialProfile.sum_of_powers([0.2, 0.7], dimension=2, gamma=1.7),
+    "exponential": RadialProfile.exponential(1.3, dimension=2),
+    "logarithmic": RadialProfile.logarithmic(1.0, dimension=2),
+    "tabulated": RadialProfile.tabulated([0.3, 1.7, 2.9], [4.1, 2.3, 1.1], dimension=2),
+}
+
+
+def per_ray_tail(prof, grid, X):
+    """Reference 2-D tail density at the points X (rows): the radial
+    primitive at each of 2048 midpoint rays' exit distance from the box,
+    the smaller of the two per-axis face distances, averaged times 2 pi."""
+    prim = radial_primitive(prof, 1.0, tail=True)
+    L = grid.half_width
+    theta = (np.arange(2048) + 0.5) * (2.0 * math.pi / 2048)
+    d = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    gaps = np.where(d[None, :, :] > 0, L - X[:, None, :], -L - X[:, None, :])
+    return prim(np.min(gaps / d[None, :, :], axis=2)).mean(axis=1) * 2.0 * math.pi
+
+
 def near_band(grid):
     """Masked-cell pairs at Chebyshev index distance <= 2, self pairs included."""
     idx = grid.index_array[grid.masked_indices]
@@ -198,53 +221,53 @@ class TestOffsetTable:
         RadialProfile.exponential(1.5, dimension=2),
         RadialProfile.sum_of_powers([0.2, 0.7], dimension=2),
         RadialProfile.tabulated([0.2, 0.5, 1.3, 2.5], [4.0, 2.0, 1.0, 0.5], dimension=2)])
-    def test_folded_tail_matches_unfolded(self, prof, monkeypatch):
+    def test_folded_tail_matches_unfolded(self, prof):
         g = two_piece_grid(2)
-        prim = radial_primitive(prof, 1.0, tail=True)
-        L, n = g.half_width, g.n
-        theta = (np.arange(2048) + 0.5) * (2.0 * math.pi / 2048)
-        d = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        got = assembly.box_tail_density(Kernel(profile=prof), g)
+        # every masked cell on its own, no symmetry fold
+        unfolded = per_ray_tail(prof, g, g.centers[g.masked_indices])
+        np.testing.assert_allclose(got, unfolded, rtol=1e-13, atol=0.0)
 
-        def tail_3d(X):
-            gaps = np.where(d[None, :, :] > 0, L - X[:, None, :], -L - X[:, None, :])
-            return prim(np.min(gaps / d[None, :, :], axis=2)).mean(axis=1) * 2.0 * math.pi
-
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(n=st.integers(3, 40), kind=st.sampled_from(sorted(TAIL_PROFILES)),
+           seed=st.integers(0, 2 ** 32 - 1), fill=st.floats(0.05, 1.0))
+    def test_tail_table_matches_per_ray_rule(self, n, kind, seed, fill):
+        # the prefix-table lookups against the per-ray midpoint rule, on
+        # random masks of odd and even boxes
+        prof = TAIL_PROFILES[kind]
+        mask = np.random.default_rng(seed).random((n, n)) < fill
+        mask.flat[seed % mask.size] = True
+        g = Grid(2, 1.0, n, mask)
+        got = assembly.box_tail_density(Kernel(profile=prof), g)
+        # the rule is invariant under the square's eight symmetries, so the
+        # reference is evaluated once per folded index
         idx = g.index_array[g.masked_indices]
         folded = np.sort(np.minimum(idx, n - 1 - idx), axis=1)
-        assert np.unique(folded, axis=0).shape[0] > 3
-        unfolded = tail_3d(g.centers[g.masked_indices])
-        at_reps = tail_3d(g.centers[folded[:, 0] * n + folded[:, 1]])
-        # 3 representatives per block (a tail block is an eighth of a row
-        # block) splits them over several blocks; the default block of 16
-        # holds them all
-        for row_block in (3 * 8 * 2048, assembly.ROW_BLOCK):
-            monkeypatch.setattr(assembly, "ROW_BLOCK", row_block)
-            got = assembly.box_tail_density(Kernel(profile=prof), g)
-            # every masked cell on its own, no symmetry fold
-            np.testing.assert_allclose(got, unfolded, rtol=1e-13, atol=0.0)
-            # at each cell's orbit representative the (cells, angles, 2)
-            # formula goes through the same scalar operations, bit for bit
-            assert np.array_equal(got, at_reps)
+        reps, inverse = np.unique(folded[:, 0] * n + folded[:, 1], return_inverse=True)
+        want = per_ray_tail(prof, g, g.centers[reps])[inverse.ravel()]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
-    @pytest.mark.parametrize("n", [16, 64])
-    def test_tail_blocks_bitwise_one_representative_each(self, n, monkeypatch):
-        # each representative's density is the mean of its own row of rays,
-        # so the block size changes no bit, for every profile kind
-        g = Grid.full_box(2, 1.0, n)
-        for prof in (RadialProfile.power(0.5, dimension=2),
-                     RadialProfile.sum_of_powers([0.2, 0.7], dimension=2, gamma=1.7),
-                     RadialProfile.exponential(1.3, dimension=2),
-                     RadialProfile.logarithmic(1.0, dimension=2),
-                     RadialProfile.tabulated([0.3, 1.7, 2.9], [4.1, 2.3, 1.1], dimension=2)):
-            blocked = assembly.box_tail_density(Kernel(profile=prof), g)
-            with monkeypatch.context() as patch:
-                patch.setattr(assembly, "ROW_BLOCK", 1)
-                single = assembly.box_tail_density(Kernel(profile=prof), g)
-            assert np.array_equal(blocked, single), prof.kind
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("tag", ["none", "rough_cosine"])
+    def test_far_table_bitwise_per_axis(self, dim, tag):
+        # the per-axis squares and Chebyshev norms against the offset
+        # vectors of the whole (2n - 1)^N box
+        g = Grid.full_box(dim, 1.0, 24 if dim == 2 else 200)
+        k = modulated_kernel(tag, dim) if tag != "none" else frac_kernel(0.4, dim=dim)
+        axis = np.arange(1 - g.n, g.n, dtype=np.int64)
+        offsets = np.stack([a.ravel() for a in np.meshgrid(*([axis] * dim), indexing="ij")],
+                           axis=1)
+        far = np.max(np.abs(offsets), axis=1) > 2
+        diff = g.h * offsets[far]
+        want = np.zeros(offsets.shape[0])
+        want[far] = k.profile.evaluate(np.sqrt(np.sum(diff * diff, axis=1)))
+        if tag != "none":
+            want[far] *= assembly.offset_modulation(k, diff)
+        assert np.array_equal(assembly.far_offset_table(k, g), want)
 
     def test_tail_block_peak(self):
-        # blocks of 16 representatives x 2048 rays over the 528
-        # representatives of a 2-D n = 64 full box
+        # one block of 64 gaps x 512 quadrant rays and the 64 x 64 sums of
+        # a 2-D n = 64 full box
         g = Grid.full_box(2, 1.0, 64)
         k = frac_kernel(0.5, dim=2)
         assembly.box_tail_density(k, g)
@@ -271,6 +294,91 @@ class TestOffsetTable:
         phases = [d[key] for key in ("far_seconds", "near_seconds", "tail_seconds")]
         assert all(t >= 0 for t in phases)
         assert sum(phases) <= d["assembly_seconds"]
+
+
+def half_power_tail(grid):
+    """Exact 2-D tail density of j(r) = gamma r^-3 (s = 1/2): each face at
+    distance d, seen between the angles phi_1 < phi_2 from its normal,
+    adds gamma (sin phi_2 - sin phi_1) / d."""
+    L = grid.half_width
+    x, y = grid.centers[grid.masked_indices].T
+    # face distances in counterclockwise order: right, top, left, bottom
+    faces = [L - x, L - y, L + x, L + y]
+    dens = 0.0
+    for f, d in enumerate(faces):
+        before, after = faces[f - 1], faces[(f + 1) % 4]
+        dens = dens + (after / np.hypot(d, after) + before / np.hypot(d, before)) / d
+    return dens
+
+
+class TestTailTable:
+    def tail_error(self):
+        g = Grid.full_box(2, 1.0, 64)
+        prof = RadialProfile.power(0.5, dimension=2, gamma=1.3)
+        got = assembly.box_tail_density(Kernel(profile=prof), g)
+        want = prof.gamma * half_power_tail(g)
+        return np.max(np.abs(got - want) / want)
+
+    def test_half_power_closed_form(self):
+        # the 2048-angle midpoint rule, 5.6e-7 from the exact density
+        assert self.tail_error() < 1e-6
+
+    def test_coarse_rule_fails_closed_form(self, monkeypatch):
+        # control: 256 angles are 3.9e-5 off, so the oracle can fail
+        monkeypatch.setattr(assembly, "TAIL_ANGLES", 256)
+        assert self.tail_error() > 1e-6
+
+    def test_angle_count_multiple_of_four(self, monkeypatch):
+        monkeypatch.setattr(assembly, "TAIL_ANGLES", 2046)
+        with pytest.raises(ValueError, match="multiple of 4"):
+            assembly.box_tail_density(frac_kernel(0.5, dim=2), Grid.full_box(2, 1.0, 8))
+
+    @pytest.mark.parametrize("kind", ["power", "logarithmic"])
+    def test_build_evaluates_n_quarter_angles(self, kind, monkeypatch):
+        # one build evaluates the primitive at n K / 4 points whatever the
+        # mask (in blocks of 5 gaps here), and a shared op_v at none
+        points = []
+        primitive = assembly.radial_primitive
+
+        def counted(*args, **kwargs):
+            prim = primitive(*args, **kwargs)
+
+            def evaluate(r):
+                points.append(np.size(r))
+                return prim(r)
+
+            return evaluate
+
+        kernel = Kernel(profile=TAIL_PROFILES[kind])
+        # one block of all 16 gaps: the blocks below change no bit
+        whole = assembly.box_tail_density(kernel, Grid.full_box(2, 1.0, 16))
+        monkeypatch.setattr(assembly, "radial_primitive", counted)
+        monkeypatch.setattr(assembly, "ROW_BLOCK", 8 * 512 * 5)
+        envelope = Kernel(profile=rearrange_profile(kernel.profile))
+        assert envelope.profile is kernel.profile
+        one = np.zeros((16, 16), dtype=bool)
+        one[3, 11] = True
+        for g in (Grid.full_box(2, 1.0, 16), two_piece_grid(2), Grid(2, 1.0, 16, one)):
+            quarter_rays = g.n * assembly.TAIL_ANGLES // 4
+            points.clear()
+            op = assemble(kernel, g)
+            assert len(points) == 4 and sum(points) == quarter_rays
+            assert np.array_equal(op.box_kernel.tail.density, whole)
+            assert op.diagnostics["tail_table"] == {"source": "computed",
+                                                   "points": quarter_rays}
+            points.clear()
+            op_v = assemble(envelope, g.ball_grid, shared=op.box_kernel)
+            assert points == []
+            assert op_v.diagnostics["tail_table"] == {"source": "shared", "points": 0}
+            assert op_v.box_kernel.tail.density is op.box_kernel.tail.density
+
+    def test_one_dimensional_tail_has_no_table(self):
+        op = assemble(frac_kernel(0.4), two_piece_grid(1))
+        assert op.diagnostics["tail_table"] is None
+        x = op.grid.centers[op.grid.masked_indices, 0]
+        prim = radial_primitive(op.box_kernel.kernel.profile, 0.0, tail=True)
+        assert np.array_equal(assembly.box_tail_density(op.box_kernel.kernel, op.grid),
+                              prim(1.0 + x) + prim(1.0 - x))
 
 
 SECONDS = {"far_seconds", "near_seconds", "tail_seconds", "assembly_seconds"}
@@ -304,8 +412,9 @@ class TestSharedKernel:
                      "near_cols"):
             a, b = getattr(got, name), getattr(want, name)
             assert (a is None and b is None) or np.array_equal(a, b), name
-        # near_sums counts where the sums came from, like shared_kernel
-        skip = SECONDS | {"shared_kernel", "near_sums"}
+        # near_sums and tail_table count where the sums and the tail table
+        # came from, like shared_kernel
+        skip = SECONDS | {"shared_kernel", "near_sums", "tail_table"}
         assert ({k: v for k, v in got.diagnostics.items() if k not in skip}
                 == {k: v for k, v in want.diagnostics.items() if k not in skip})
 
@@ -313,12 +422,12 @@ class TestSharedKernel:
     @pytest.mark.parametrize("kind", sorted(PROFILES))
     def test_shared_equals_standalone(self, dim, kind, monkeypatch):
         kernel = Kernel(profile=self.PROFILES[kind](dim))
-        tail_cells = []
+        tables = []
         density = assembly.box_tail_density
 
-        def counted(kernel, grid, reps=None):
-            tail_cells.append(reps.size)
-            return density(kernel, grid, reps)
+        def counted(kernel, grid, table=None):
+            tables.append(None if table is None else table.source)
+            return density(kernel, grid, table)
 
         monkeypatch.setattr(assembly, "box_tail_density", counted)
         op_u, shared, alone = self.assemble_pair(kernel, two_piece_grid(dim))
@@ -330,12 +439,14 @@ class TestSharedKernel:
                 == op_u.diagnostics["near_refinement_depths"])
         assert all(shared.diagnostics[key] >= 0 for key in SECONDS)
         self.assert_same(shared, alone)
-        # the shared assembly computes the tail only at the representatives
-        # op_u lacks, which a 2-D ball has at its center
-        reps_u, reps_v = assembly.tail_orbits(op_u.grid)[0], assembly.tail_orbits(shared.grid)[0]
-        missing = np.setdiff1d(reps_v, reps_u).size
-        assert tail_cells == [reps_u.size, missing, reps_v.size]
-        assert missing > 0 or dim == 1
+        # one tail call per assembly; in 2-D the shared one reads op_u's
+        # table and the standalone one builds its own (1-D has no table)
+        assert tables == ["computed", "shared" if dim == 2 else "computed", "computed"]
+        if dim == 2:
+            assert shared.box_kernel.tail.density is op_u.box_kernel.tail.density
+            assert not op_u.box_kernel.tail.density.flags.writeable
+            assert np.array_equal(alone.box_kernel.tail.density, op_u.box_kernel.tail.density)
+            assert shared.diagnostics["tail_table"] == {"source": "shared", "points": 0}
 
     @pytest.mark.filterwarnings("ignore:box margin too small")
     @pytest.mark.parametrize("dim", [1, 2])

@@ -465,6 +465,25 @@ class TestRunScenario:
                                "reused": symmetrized["reused"]}
         assert symmetrized["reused"] > 0
 
+    @pytest.mark.parametrize("kind", ["fractional", "table"])
+    def test_diagnostics_record_tail_table(self, tmp_path, kind):
+        # op_v reads op_u's exterior-tail table when the profile is one
+        # object; a rearranged table profile is another, with its own table
+        kernel = {"kind": "fractional", "s": 0.5}
+        if kind == "table":
+            with open(tmp_path / "kernel.csv", "w", newline="") as fh:
+                csv.writer(fh).writerows([["r", "value"], [0.5, 2.0], [1.5, 4.0], [3.0, 1.0]])
+            kernel = {"kind": "table", "path": "kernel.csv"}
+        cfg = parse_config(write_config(
+            tmp_path, dimension=2, n=16, domain={"type": "boxes", "pieces": BOXES},
+            kernel=kernel, checks=["comparison"]))
+        run_scenario(cfg, "elliptic")
+        diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        built = {"source": "computed", "points": 16 * 2048 // 4}
+        assert diag["assembly"]["original"]["tail_table"] == built
+        assert diag["assembly"]["symmetrized"]["tail_table"] == (
+            built if kind == "table" else {"source": "shared", "points": 0})
+
     def test_parabolic_mode_requires_time_block(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
         with pytest.raises(ScenarioError):
@@ -597,9 +616,9 @@ class TestMemoryEstimate:
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_small_2d_estimate_within_4x_of_peak(self, tmp_path, n):
-        # the 2-D tail blocks hold TAIL_ANGLES rays per orbit representative
-        # (36 at n = 16, 136 at n = 32), not ROW_BLOCK floats, so the
-        # estimate of a small level stays near its tracemalloc peak
+        # a 2-D tail build holds n gaps x TAIL_ANGLES / 4 rays (16 or 32
+        # gaps), not ROW_BLOCK floats, so the estimate of a small level
+        # stays near its tracemalloc peak
         cfg = parse_config(write_config(
             tmp_path, dimension=2, n=n, domain={"type": "boxes", "pieces": self.BOXES},
             checks=["comparison", "energy", "polya_szego", "coarea"]))
