@@ -247,6 +247,25 @@ class TestOffsetTable:
         want = per_ray_tail(prof, g, g.centers[reps])[inverse.ravel()]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_tail_blocks_bitwise_one_representative_each(self, n, monkeypatch):
+        # each gap's prefix sums are the cumsum of its own row of quadrant
+        # rays, so the gap block size (one gap, five with a short last
+        # block, or the whole box) changes no bit, for every profile kind
+        g = Grid.full_box(2, 1.0, n)
+        for prof in (RadialProfile.power(0.5, dimension=2),
+                     RadialProfile.sum_of_powers([0.2, 0.7], dimension=2, gamma=1.7),
+                     RadialProfile.exponential(1.3, dimension=2),
+                     RadialProfile.logarithmic(1.0, dimension=2),
+                     RadialProfile.tabulated([0.3, 1.7, 2.9], [4.1, 2.3, 1.1], dimension=2)):
+            blocked = assembly.box_tail_density(Kernel(profile=prof), g)
+            for rows in (1, 5):
+                with monkeypatch.context() as patch:
+                    patch.setattr(assembly, "ROW_BLOCK", rows * 8 * (assembly.TAIL_ANGLES // 4))
+                    assert assembly.tail_table_rows() == rows
+                    single = assembly.box_tail_density(Kernel(profile=prof), g)
+                assert np.array_equal(blocked, single), (prof.kind, rows)
+
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("tag", ["none", "rough_cosine"])
     def test_far_table_bitwise_per_axis(self, dim, tag):
